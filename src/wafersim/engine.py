@@ -7,15 +7,26 @@ so the engine advances a block of up to that many steps (at most
 ``BLOCK_CAP``) at once, the communication interval of Morrison et al. 2005
 (*Neural Comput.* 17:1776).  Per block:
 
-1. the Poisson drive of every step is drawn at once and scattered into a ring
-   buffer indexed by delay step;
+1. the Poisson drive is drawn event by event: per drive, one Poisson total
+   for the block, spread uniformly over its (step, source) cells, and its
+   edges are scattered into the input buffer;
 2. the synaptic traces and the subthreshold membrane trajectory follow from
    prefix scans over the block, because the update of each step is affine in
    the previous state;
 3. each neuron's first threshold crossing is found, the reset and refractory
    clamp are applied, and the neuron restarts from the end of its clamp until
    no neuron crosses;
-4. the block's spikes are recorded and delivered by one scatter into the ring.
+4. the block's spikes are recorded and delivered by one scatter into the
+   input buffer.
+
+A per-neuron Poisson stimulus is a drive whose source j reaches only its
+j-th target neuron, so stimuli, shared pools and recurrent edges take one
+delivery path.  Each edge stores its offset dstep*2n + channel*n + target at
+build time.  The input buffer is a sliding window of steps: row r holds the
+input arriving at step origin + r, so an edge of a source firing at step t
+lands at (t - origin)*2n plus its offset.  Before a block's arrivals would run
+past the last row, the rows still ahead move to the front; a copy adds
+nothing, so sums build up in the same order wherever the window stands.
 
 All deliveries scheduled for a step enter the synaptic state before the
 membrane update of that step, and each delivered edge increments the
@@ -133,6 +144,11 @@ class _Engine:
         self.config = config
         self.dt = config.dt
         self.n = spec.n_neurons()
+        bad = [p for p in config.membrane_probes
+               if not (isinstance(p, (int, np.integer)) and 0 <= p < self.n)]
+        if bad:
+            raise WafersimError(f"membrane probes {bad} are not neuron ids "
+                                f"in [0, {self.n})")
         kinds = spec.synapse_kinds()
         if len(kinds) > 1:
             raise WafersimError("mixed synapse kinds are not supported")
@@ -157,10 +173,14 @@ class _Engine:
         self.ref_steps = np.round(self.tau_ref / self.dt).astype(np.int64)
 
         self._build_edges()
-        self._build_stimuli()
-        # one block never outlasts the smallest recurrent delay
-        self.block = min(BLOCK_CAP, int(self.e_dstep.min())) \
-            if len(self.e_dstep) else BLOCK_CAP
+        self._build_drives()
+        # one block never outlasts the smallest recurrent delay; an edge's
+        # delay step is its offset // row (a network without neurons has
+        # no edges)
+        row = max(2 * self.n, 1)
+        self.block = int(self.edges["flat"].min(initial=BLOCK_CAP * row)) // row
+        self.max_dstep = max(int(t["flat"].max(initial=row)) // row for t in
+                             [self.edges] + [table for *_, table in self.drives])
         # syn_pow[k] = decay^(k+1) of the excitatory then inhibitory traces
         decay = np.exp(-self.dt / np.concatenate([self.tau_syn_exc,
                                                   self.tau_syn_inh]))
@@ -182,66 +202,66 @@ class _Engine:
             raise WafersimError("all delays must be >= dt")
         return np.maximum(1, np.round(delays / self.dt).astype(np.int64))
 
+    def _flat(self, dstep, chan, tgt) -> np.ndarray:
+        """Buffer offsets dstep*2n + chan*n + tgt of edges from the row of
+        the step their source fires in; offset // 2n is the delay step."""
+        return dstep * (2 * self.n) + chan * self.n + tgt
+
+    def _edge_table(self, size, src, w, flat) -> dict:
+        """Edges of ``size`` sources in CSR order, with weights and offsets."""
+        order = np.argsort(src, kind="stable")
+        indptr = np.zeros(size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=size), out=indptr[1:])
+        return {"indptr": indptr, "out_degree": np.diff(indptr),
+                "w": w[order], "flat": flat[order]}
+
     def _build_edges(self) -> None:
         spec, offsets = self.spec, self.offsets
-        srcs, tgts, ws, dsteps, chans = [], [], [], [], []
+        srcs, ws, flats = [], [], []
         for pr in spec.projections:
             e = spec.edges[pr.pid]
             if not len(e):
                 continue
             srcs.append(offsets[pr.source] + e.src.astype(np.int64))
-            tgts.append(offsets[pr.target] + e.tgt.astype(np.int64))
             ws.append(e.weight)
-            dsteps.append(self._delay_steps(e.delay))
             if self.conductance:
-                chan = np.full(len(e), spec.population(pr.source).sign
-                               == Sign.INHIBITORY, dtype=np.int64)
+                chan = int(spec.population(pr.source).sign == Sign.INHIBITORY)
             else:
-                chan = (e.weight < 0).astype(np.int64)
-            chans.append(chan)
-        if srcs:
-            src = np.concatenate(srcs)
-            order = np.argsort(src, kind="stable")
-            self.e_src = src[order]
-            self.e_w = np.concatenate(ws)[order]
-            self.e_dstep = np.concatenate(dsteps)[order]
-            # position of (channel, target) within one ring slot
-            self.e_off = (np.concatenate(chans) * self.n
-                          + np.concatenate(tgts))[order]
-        else:
-            self.e_src = np.empty(0, np.int64)
-            self.e_w = np.empty(0, np.float64)
-            self.e_dstep = np.empty(0, np.int64)
-            self.e_off = np.empty(0, np.int64)
-        self.indptr = np.zeros(self.n + 1, dtype=np.int64)
-        if len(self.e_src):
-            np.add.at(self.indptr, self.e_src + 1, 1)
-            np.cumsum(self.indptr, out=self.indptr)
-        self.out_degree = np.diff(self.indptr)
-        self.max_dstep = int(self.e_dstep.max()) if len(self.e_dstep) else 1
+                chan = e.weight < 0
+            flats.append(self._flat(self._delay_steps(e.delay), chan,
+                                    offsets[pr.target] + e.tgt.astype(np.int64)))
+        self.edges = self._edge_table(self.n, _concat(srcs, np.int64),
+                                      _concat(ws, np.float64),
+                                      _concat(flats, np.int64))
 
-    def _build_stimuli(self) -> None:
+    def _build_drives(self) -> None:
+        """One edge table per Poisson drive.  A per-neuron stimulus is a pool
+        whose source j drives only the j-th neuron of its target population;
+        a shared pool group joins the edges of all its stimuli.  Each drive keeps the random stream of
+        its stimulus or group, and a negative weight uses the inhibitory
+        channel."""
         spec, offsets = self.spec, self.offsets
-        # per-neuron Poisson stimuli: (target slice, rate/ms, weight, dstep, chan)
-        self.per_neuron_stims = []
-        # shared pools: group id -> dict(size, rate/ms, edges CSR)
+        self.drives = []  # (stream key, sources, mean count per step, table)
+
+        def add(key, size, rate_ms, src, w, flat):
+            if rate_ms > 0 and len(src):
+                self.drives.append((key, size, rate_ms * self.dt,
+                                    self._edge_table(size, src, w, flat)))
+
         pools: dict[str, dict] = {}
         for st in spec.stimuli:
             if st.kind == StimulusKind.POISSON_PER_NEURON:
-                o = offsets[st.target]
                 s = spec.population(st.target).size
-                dstep = self._delay_steps(np.array([st.delay]))[0]
-                self.per_neuron_stims.append({
-                    "sid": st.sid, "lo": o, "hi": o + s,
-                    "rate_ms": st.rate * 1e-3, "weight": st.weight,
-                    "dstep": int(dstep), "chan": 0 if st.weight >= 0 else 1,
-                })
-                self.max_dstep = max(self.max_dstep, int(dstep))
+                j = np.arange(s, dtype=np.int64)
+                add(("stim", st.sid), s, st.rate * 1e-3, j,
+                    np.full(s, float(st.weight)),
+                    self._flat(self._delay_steps(np.array([st.delay])),
+                               int(st.weight < 0), offsets[st.target] + j))
             elif st.kind == StimulusKind.POISSON_POOL:
                 gid = st.pool_group or st.sid
                 pool = pools.setdefault(gid, {
                     "size": st.pool_size, "rate_ms": st.rate * 1e-3,
-                    "src": [], "tgt": [], "w": [], "dstep": [],
+                    "src": [], "w": [], "flat": [],
                 })
                 if pool["size"] != st.pool_size or \
                         abs(pool["rate_ms"] - st.rate * 1e-3) > 1e-15:
@@ -250,44 +270,29 @@ class _Engine:
                 e = spec.stim_edges.get(st.sid)
                 if e is not None and len(e):
                     pool["src"].append(e.src.astype(np.int64))
-                    pool["tgt"].append(offsets[st.target] + e.tgt.astype(np.int64))
                     pool["w"].append(e.weight)
-                    pool["dstep"].append(self._delay_steps(e.delay))
-        self.pools = []
+                    pool["flat"].append(self._flat(
+                        self._delay_steps(e.delay), e.weight < 0,
+                        offsets[st.target] + e.tgt.astype(np.int64)))
         for gid in sorted(pools):
             p = pools[gid]
             if p["src"]:
-                src = np.concatenate(p["src"])
-                order = np.argsort(src, kind="stable")
-                tgt = np.concatenate(p["tgt"])[order]
-                w = np.concatenate(p["w"])[order]
-                dstep = np.concatenate(p["dstep"])[order]
-                self.max_dstep = max(self.max_dstep, int(dstep.max()))
-            else:
-                src = np.empty(0, np.int64)
-                tgt = np.empty(0, np.int64)
-                w = np.empty(0, np.float64)
-                dstep = np.empty(0, np.int64)
-            indptr = np.zeros(p["size"] + 1, dtype=np.int64)
-            if len(src):
-                np.add.at(indptr, src[order] + 1, 1)
-                np.cumsum(indptr, out=indptr)
-            self.pools.append({
-                "gid": gid, "size": p["size"], "rate_ms": p["rate_ms"],
-                "tgt": tgt, "w": w, "dstep": dstep, "indptr": indptr,
-                "out_degree": np.diff(indptr),
-            })
+                add(("pool", gid), p["size"], p["rate_ms"],
+                    *(np.concatenate(p[k]) for k in ("src", "w", "flat")))
 
     # -- main loop --
 
     def run(self) -> SpikeRecord:
-        cfg, n, B = self.config, self.n, self.block
+        cfg, n, B, M = self.config, self.n, self.block, self.max_dstep
         n_steps = int(round(cfg.duration / self.dt))
-        # ring rows hold a block plus the longest delay; a whole number of
-        # blocks, so the rows of one block are contiguous
-        D = B * -(-(B + self.max_dstep) // B)
-        ring = np.zeros(D * 2 * n)  # (slot, channel, neuron), flat
-        slots = ring.reshape(D, 2 * n)
+        # Sliding buffer of (step, channel, neuron), flat: row r holds the
+        # input arriving at step origin + r.  A block's arrivals reach at
+        # most M steps past it; before they would run past the end, the M
+        # live rows move to the front.
+        R = 2 * (B + M)
+        buf = np.zeros(R * 2 * n)
+        window = buf.reshape(R, 2 * n)
+        origin = 0
         v = self.v_rest.copy()
         syn = np.zeros(2 * n)  # excitatory then inhibitory trace
         ref = np.zeros(n, dtype=np.int64)  # refractory steps left
@@ -300,14 +305,7 @@ class _Engine:
                 o = self.offsets[pid]
                 record_mask[o:o + self.spec.population(pid).size] = True
 
-        stim_rngs = {
-            s["sid"]: stream("engine", cfg.seed, "stim", s["sid"])
-            for s in self.per_neuron_stims
-        }
-        pool_rngs = {
-            p["gid"]: stream("engine", cfg.seed, "pool", p["gid"])
-            for p in self.pools
-        }
+        rngs = [stream("engine", cfg.seed, *key) for key, *_ in self.drives]
 
         spikes = _SpikeBuffer()
         probes = {pid: np.empty(n_steps) for pid in cfg.membrane_probes}
@@ -315,10 +313,17 @@ class _Engine:
         wall_start = _time.perf_counter()
         for t0 in range(0, n_steps, B):
             L = min(B, n_steps - t0)
-            deliveries += self._drive(ring, D, t0, L, stim_rngs, pool_rngs)
-            r0 = t0 % D
-            traces = slots[r0:r0 + L].copy()
-            slots[r0:r0 + L] = 0.0
+            r0 = t0 - origin
+            if r0 + B + M > R:
+                window[:M] = window[r0:r0 + M]
+                window[r0:r0 + M] = 0.0
+                origin, r0 = t0, 0
+            # external drive enters the buffer like any other spike
+            for (_, size, mean, table), rng in zip(self.drives, rngs):
+                k, j = _poisson_events(rng, mean, L, size)
+                deliveries += self._scatter(buf, r0 + k, j, table)
+            traces = window[r0:r0 + L].copy()
+            window[r0:r0 + L] = 0.0
             _scan_powers(traces, self.syn_pow)
             traces += self.syn_pow[:L] * syn
             syn = traces[-1]
@@ -327,14 +332,8 @@ class _Engine:
             if not np.isfinite(V.sum() + traces.sum()):
                 self._raise_non_finite(t0, V, traces)
             if len(ids):
+                deliveries += self._scatter(buf, r0 + steps, ids, self.edges)
                 steps += t0
-                if len(self.e_src):
-                    idx = _csr_gather(self.indptr, ids)
-                    if len(idx):
-                        self._deliver(ring, D, np.repeat(
-                            steps, self.out_degree[ids]) + self.e_dstep[idx],
-                            self.e_off[idx], self.e_w[idx])
-                    deliveries += int(self.out_degree[ids].sum())
                 if record_mask is not None:
                     keep = record_mask[ids]
                     steps, ids = steps[keep], ids[keep]
@@ -364,42 +363,17 @@ class _Engine:
             probes=probes,
         )
 
-    def _deliver(self, ring, D, steps, offsets, values) -> None:
-        """Add ``values`` to the ring at arrival ``steps`` and the positions
-        ``offsets`` (channel*n + target) within a slot."""
-        np.add.at(ring, steps % D * (2 * self.n) + offsets, values)
-
-    def _drive(self, ring, D, t0, L, stim_rngs, pool_rngs) -> int:
-        """Draw the Poisson drive of steps t0..t0+L-1, step-major as one step
-        at a time would, and scatter it into the ring; returns deliveries."""
-        delivered = 0
-        # external drive enters the delay buffer like any other spike
-        for s in self.per_neuron_stims:
-            if s["rate_ms"] <= 0:
-                continue
-            counts = stim_rngs[s["sid"]].poisson(
-                s["rate_ms"] * self.dt, size=(L, s["hi"] - s["lo"]))
-            k, j = np.nonzero(counts)
-            if len(k):
-                self._deliver(ring, D, t0 + s["dstep"] + k,
-                              s["chan"] * self.n + s["lo"] + j,
-                              counts[k, j] * s["weight"])
-                delivered += int(counts.sum())
-        for p in self.pools:
-            if p["rate_ms"] <= 0 or not len(p["tgt"]):
-                continue
-            counts = pool_rngs[p["gid"]].poisson(
-                p["rate_ms"] * self.dt, size=(L, p["size"]))
-            k, spikers = np.nonzero(counts)
-            if len(k):
-                idx = _csr_gather(p["indptr"], spikers)
-                degree = p["out_degree"][spikers]
-                mult = np.repeat(counts[k, spikers], degree).astype(np.float64)
-                self._deliver(ring, D, t0 + np.repeat(k, degree)
-                              + p["dstep"][idx], p["tgt"][idx],
-                              p["w"][idx] * mult)
-                delivered += int(mult.sum())
-        return delivered
+    def _scatter(self, buf, rows, srcs, table) -> int:
+        """Add the edges of sources ``srcs``, firing in buffer ``rows``, to
+        the buffer; returns the number of edges delivered."""
+        if not len(table["w"]):
+            return 0
+        idx = _csr_gather(table["indptr"], srcs)
+        if len(idx):
+            pos = np.repeat(rows * (2 * self.n), table["out_degree"][srcs])
+            pos += table["flat"][idx]
+            np.add.at(buf, pos, table["w"][idx])
+        return len(idx)
 
     def _integrate(self, v0, ref, traces):
         """Membrane trajectory over one block, given the synaptic traces.
@@ -521,6 +495,10 @@ class _SpikeBuffer:
         self.n = end
 
 
+def _concat(parts: list, dtype) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.empty(0, dtype)
+
+
 def _powers(base: np.ndarray, k: int) -> np.ndarray:
     """(k, len(base)) table whose row j is base**(j+1)."""
     return np.cumprod(np.broadcast_to(base, (k, len(base))), axis=0)
@@ -543,6 +521,16 @@ def _scan(a: np.ndarray, x: np.ndarray) -> None:
         x[shift:] += a[shift:] * x[:-shift]
         a[shift:] *= a[:-shift]
         shift *= 2
+
+
+def _poisson_events(rng, mean: float, steps: int, size: int):
+    """Events of independent Poisson(``mean``) counts on each of the
+    ``steps`` x ``size`` (step, source) cells, as arrays (step, source); a
+    cell with count c appears c times.  One Poisson total is spread uniformly
+    over the cells, so the cost scales with the events."""
+    cells = steps * size
+    return np.divmod(rng.integers(0, cells, size=rng.poisson(mean * cells)),
+                     size)
 
 
 def _csr_gather(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -667,6 +655,7 @@ def biological_speedup(bio_duration_ms: float, wall_duration_s: float) -> float:
 # --- spike record serialization ----------------------------------------------
 
 _SPIKE_MAGIC = b"WSSR"
+_SPIKE_DTYPE = np.dtype([("time", "<f8"), ("id", "<u4")])
 
 
 def _record_header(record: SpikeRecord) -> dict:
@@ -696,9 +685,20 @@ def save_spikes_csv(record: SpikeRecord, path: Union[str, Path]) -> Path:
 
 
 def save_spikes_binary(record: SpikeRecord, path: Union[str, Path]) -> Path:
+    """Magic, header length, JSON header, then the (time, id) records, the
+    probe times and one array per probe, in the header's ``probe_ids``
+    order."""
     path = Path(path)
-    header = json.dumps(_record_header(record), sort_keys=True).encode()
-    rec = np.empty(len(record.times), dtype=[("time", "<f8"), ("id", "<u4")])
+    probe_ids = sorted(record.probes)
+    header = json.dumps({
+        **_record_header(record),
+        "config": record.config,
+        "n_spikes": len(record.times),
+        "n_probe_times": (None if record.probe_times is None
+                          else len(record.probe_times)),
+        "probe_ids": probe_ids,
+    }, sort_keys=True).encode()
+    rec = np.empty(len(record.times), dtype=_SPIKE_DTYPE)
     rec["time"] = record.times
     rec["id"] = record.ids
     with open(path, "wb") as f:
@@ -706,6 +706,10 @@ def save_spikes_binary(record: SpikeRecord, path: Union[str, Path]) -> Path:
         f.write(struct.pack("<I", len(header)))
         f.write(header)
         f.write(rec.tobytes())
+        if record.probe_times is not None:
+            f.write(np.asarray(record.probe_times, "<f8").tobytes())
+        for pid in probe_ids:
+            f.write(np.asarray(record.probes[pid], "<f8").tobytes())
     return path
 
 
@@ -713,17 +717,36 @@ def load_spikes_binary(path: Union[str, Path]) -> SpikeRecord:
     raw = Path(path).read_bytes()
     if raw[:4] != _SPIKE_MAGIC:
         raise WafersimError("not a spike record file")
-    (hlen,) = struct.unpack("<I", raw[4:8])
-    header = json.loads(raw[8:8 + hlen].decode())
-    rec = np.frombuffer(raw[8 + hlen:], dtype=[("time", "<f8"), ("id", "<u4")])
+    try:
+        (hlen,) = struct.unpack("<I", raw[4:8])
+        header = json.loads(raw[8:8 + hlen].decode())
+        n_spikes, n_times = int(header["n_spikes"]), header["n_probe_times"]
+        probe_ids = [int(p) for p in header["probe_ids"]]
+        n_probe_values = (0 if n_times is None else int(n_times)) \
+            * (1 + len(probe_ids))
+    except (struct.error, ValueError, KeyError, TypeError) as exc:
+        raise WafersimError(f"corrupt spike record header: {exc!r}") from None
+    body = 8 + hlen
+    spike_bytes = n_spikes * _SPIKE_DTYPE.itemsize
+    if min(n_spikes, n_probe_values) < 0 or \
+            len(raw) - body != spike_bytes + 8 * n_probe_values:
+        raise WafersimError(
+            f"spike record payload is {len(raw) - body} bytes; the header "
+            f"says {n_spikes} spikes and {n_probe_values} probe values")
+    rec = np.frombuffer(raw, _SPIKE_DTYPE, n_spikes, body)
+    probes = np.frombuffer(raw, "<f8", n_probe_values, body + spike_bytes)
+    probes = probes.reshape(1 + len(probe_ids), -1)
     return SpikeRecord(
         times=rec["time"].astype(np.float64), ids=rec["id"].astype(np.uint32),
         n_neurons=header["n_neurons"], duration=header["duration_ms"],
         dt=header["dt_ms"], deliveries=header["deliveries"],
         wall_time=header["wall_time_s"],
         population_slices={k: tuple(v) for k, v in header["population_slices"].items()},
+        config=header["config"],
         recorded_neurons=(None if header["recorded_neurons"] is None
                           else np.asarray(header["recorded_neurons"], np.uint32)),
+        probe_times=None if n_times is None else probes[0].copy(),
+        probes={pid: probes[i + 1].copy() for i, pid in enumerate(probe_ids)},
     )
 
 

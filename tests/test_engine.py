@@ -8,6 +8,7 @@ from wafersim.engine import (
     SimulationConfig,
     SimulationDiagnosticError,
     SpikeRecord,
+    _poisson_events,
     biological_speedup,
     load_spikes_binary,
     poisson_source,
@@ -32,6 +33,7 @@ from wafersim.network import (
     ensure_sampled,
 )
 from wafersim.psp import psp_peak_current
+from wafersim.rngtools import stream
 
 
 def single_neuron_spec(i_offset, **params):
@@ -154,6 +156,49 @@ class TestSynapticTransmission:
         t_drv = self.check_delay_respected(3.8, driver_i=0.32)
         assert round(t_drv / 0.1) % 38 == 0
 
+    def test_psps_start_at_delay_across_buffer_slides(self):
+        # A driver firing every 29 steps feeds two subthreshold targets, over
+        # 1 step and over BLOCK_CAP+36 steps.  Blocks are one step long and
+        # the input buffer slides every 102 steps, 39 times in 4000 steps;
+        # 29 and 102 are coprime, so the long-delay arrivals sit at every row
+        # of the moved rows across the slides.  Each target trace must equal
+        # the sum of one discrete PSP per driver spike, starting exactly on
+        # the step the spike arrives.
+        dt, w, d_steps = 0.1, 0.5, np.array([1, BLOCK_CAP + 36])
+        neuron = NeuronParameters()
+        driver = Population("drv", 1, NeuronParameters(i_offset=3.0),
+                            Sign.EXCITATORY)
+        target = Population("tgt", 2, neuron, Sign.EXCITATORY)
+        proj = Projection("drv->tgt", "drv", "tgt", ExplicitList(), w, 0.1,
+                          SynapseKind.CURRENT_EXP)
+        spec = NetworkSpec(populations=[driver, target], projections=[proj],
+                           stimuli=[], seed=0)
+        spec.edges["drv->tgt"] = EdgeList.from_arrays(
+            np.zeros(2, np.uint32), np.arange(2, dtype=np.uint32), w,
+            d_steps * dt)
+        record = simulate(spec, SimulationConfig(
+            dt=dt, duration=400.0, membrane_probes=[1, 2]))
+        assert not np.any(record.ids > 0)
+        n_steps = len(record.probe_times)
+        fired = np.round(record.times / dt).astype(np.int64) - 1
+        assert np.all(np.diff(fired) == 29)
+        # v_k - v_rest = decay_m*(v_(k-1) - v_rest) + gain*r_m*w*decay_s^j
+        # on the j-th step after the arrival
+        decay_m = np.exp(-dt / neuron.tau_m)
+        gain_r = (1 - decay_m) * neuron.tau_m / neuron.c_m
+        syn = w * np.exp(-dt / neuron.tau_syn_exc) ** np.arange(n_steps)
+        kernel = np.empty(n_steps)
+        acc = 0.0
+        for j in range(n_steps):
+            acc = decay_m * acc + gain_r * syn[j]
+            kernel[j] = acc
+        for pid, d in zip((1, 2), d_steps):
+            arrivals = np.zeros(n_steps)
+            arrivals[fired[fired + d < n_steps] + d] = 1.0
+            want = neuron.v_rest + np.convolve(arrivals, kernel)[:n_steps]
+            np.testing.assert_allclose(record.probes[pid], want, rtol=0,
+                                       atol=1e-9)
+
     def test_delay_below_dt_rejected(self):
         spec = two_neuron_spec(weight=0.05, delay=0.05)
         with pytest.raises(WafersimError):
@@ -232,6 +277,74 @@ class TestDeliveryAccounting:
         assert abs(record.deliveries - expected) < 4 * sd
 
 
+class TestPoissonEvents:
+    """The engine's Poisson drive: per block, one Poisson total spread
+    uniformly over the (step, source) cells."""
+
+    @pytest.mark.parametrize("mean", [0.005, 0.5, 2.0])
+    def test_counts_per_cell_are_poisson(self, mean):
+        rng = np.random.default_rng(1)
+        steps, size, blocks = 15, 40, 1000
+        counts = np.empty((blocks, steps * size))
+        offsets = np.zeros(steps, np.int64)
+        for b in range(blocks):
+            k, j = _poisson_events(rng, mean, steps, size)
+            assert np.all((0 <= k) & (k < steps) & (0 <= j) & (j < size))
+            counts[b] = np.bincount(k * size + j, minlength=steps * size)
+            offsets += np.bincount(k, minlength=steps)
+        cells = counts.size
+        assert abs(counts.mean() - mean) < 4 * np.sqrt(mean / cells)
+        # the sample variance of Poisson counts has variance (m + 2m^2)/cells
+        assert abs(counts.var() - mean) < 4 * np.sqrt((mean + 2 * mean ** 2)
+                                                      / cells)
+        assert scipy.stats.chisquare(offsets).pvalue > 1e-3
+
+    @staticmethod
+    def per_neuron_spec(n, rate):
+        pop = Population("n", n, NeuronParameters(), Sign.EXCITATORY)
+        return NetworkSpec(
+            populations=[pop], projections=[],
+            stimuli=[StimulusSpec("ext->n", "n",
+                                  StimulusKind.POISSON_PER_NEURON,
+                                  rate=rate, weight=0.0, delay=1.0)],
+            seed=0)
+
+    def test_short_final_block_gets_its_share(self):
+        # no recurrent edges: one block of BLOCK_CAP steps, then one of 7
+        n, rate, dt, n_steps = 50, 20_000.0, 0.1, BLOCK_CAP + 7
+        record = simulate(self.per_neuron_spec(n, rate),
+                          SimulationConfig(dt=dt, duration=n_steps * dt))
+        expected = n * rate * 1e-3 * dt * n_steps
+        assert abs(record.deliveries - expected) < 4 * np.sqrt(expected)
+
+    def test_deliveries_are_events_times_out_degree(self):
+        # a shared pool at two events per step and source, with out-degrees
+        # 0..4; the same stream redrawn gives the events of each source
+        size, rate, dt, n_steps, seed = 5, 20_000.0, 0.1, 2 * BLOCK_CAP + 9, 3
+        src = np.repeat(np.arange(size), np.arange(size))
+        pop = Population("n", 20, NeuronParameters(), Sign.EXCITATORY)
+        spec = NetworkSpec(
+            populations=[pop], projections=[],
+            stimuli=[StimulusSpec("pool->n", "n", StimulusKind.POISSON_POOL,
+                                  rate=rate, weight=0.0, delay=1.0,
+                                  pool_size=size, samples_per_target=1)],
+            seed=0)
+        spec.stim_edges["pool->n"] = EdgeList.from_arrays(
+            src, np.arange(len(src)), 0.0, 1.0)
+        record = simulate(spec, SimulationConfig(dt=dt, duration=n_steps * dt,
+                                                 seed=seed))
+        rng = stream("engine", seed, "pool", "pool->n")
+        events = np.zeros(size, np.int64)
+        repeated = 0
+        for t0 in range(0, n_steps, BLOCK_CAP):
+            L = min(BLOCK_CAP, n_steps - t0)
+            k, j = _poisson_events(rng, rate * 1e-3 * dt, L, size)
+            events += np.bincount(j, minlength=size)
+            repeated += int((np.bincount(k * size + j) > 1).sum())
+        assert repeated > 0
+        assert record.deliveries == int((events * np.arange(size)).sum())
+
+
 class TestPoissonSource:
     def test_count_within_3_sigma(self):
         rate, duration = 200.0, 20_000.0
@@ -303,6 +416,13 @@ class TestRecordingOptions:
         lo, hi = record.population_slices["inh"]
         assert np.all((record.ids >= lo) & (record.ids < hi))
 
+    @pytest.mark.parametrize("probe", [-1, 300, 1.0])
+    def test_probe_id_outside_network_rejected(self, probe):
+        spec = ensure_sampled(build_brunel(BrunelParams(n_total=300), seed=4))
+        with pytest.raises(WafersimError, match="membrane probes"):
+            simulate(spec, SimulationConfig(duration=10.0,
+                                            membrane_probes=[probe]))
+
     def test_probe_limit(self):
         spec = ensure_sampled(build_brunel(BrunelParams(n_total=300), seed=4))
         with pytest.raises(ValueError):
@@ -337,18 +457,43 @@ class TestRecordingOptions:
 
 
 class TestSerialization:
-    def make_record(self):
+    def make_record(self, **config):
         spec = ensure_sampled(build_brunel(BrunelParams(n_total=200), seed=4))
-        return simulate(spec, SimulationConfig(dt=0.1, duration=300.0))
+        return simulate(spec, SimulationConfig(dt=0.1, duration=300.0,
+                                               **config))
 
     def test_binary_roundtrip(self, tmp_path):
-        record = self.make_record()
-        path = save_spikes_binary(record, tmp_path / "s.bin")
-        again = load_spikes_binary(path)
-        assert np.array_equal(again.times, record.times)
-        assert np.array_equal(again.ids, record.ids)
-        assert again.deliveries == record.deliveries
-        assert again.population_slices == record.population_slices
+        for probes in ([], [3, 150]):
+            record = self.make_record(membrane_probes=probes)
+            path = save_spikes_binary(record, tmp_path / "s.bin")
+            again = load_spikes_binary(path)
+            assert np.array_equal(again.times, record.times)
+            assert np.array_equal(again.ids, record.ids)
+            assert again.deliveries == record.deliveries
+            assert again.population_slices == record.population_slices
+            assert again.config == record.config
+            if probes:
+                assert np.array_equal(again.probe_times, record.probe_times)
+            else:
+                assert again.probe_times is None
+            assert again.probes.keys() == record.probes.keys()
+            for pid in probes:
+                assert np.array_equal(again.probes[pid], record.probes[pid])
+            # the loaded record saves to the same file, config hash included
+            resaved = save_spikes_binary(again, tmp_path / "again.bin")
+            assert resaved.read_bytes() == path.read_bytes()
+
+    # keep the magic and part of the header, or drop the last byte, the
+    # last probe value, or probe values and spikes
+    @pytest.mark.parametrize("keep", [20, -1, -8, -30_000])
+    def test_truncated_binary_rejected(self, tmp_path, keep):
+        record = self.make_record(membrane_probes=[3])
+        raw = save_spikes_binary(record, tmp_path / "s.bin").read_bytes()
+        assert len(raw) > 30_000
+        bad = tmp_path / "cut.bin"
+        bad.write_bytes(raw[:keep])
+        with pytest.raises(WafersimError):
+            load_spikes_binary(bad)
 
     def test_csv_header_and_rows(self, tmp_path):
         record = self.make_record()
