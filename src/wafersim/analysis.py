@@ -105,26 +105,37 @@ class CvIsiResult:
 def cv_isi(record: SpikeRecord, window: Optional[tuple[float, float]] = None
            ) -> CvIsiResult:
     """Coefficient of variation of inter-spike intervals per neuron; neurons
-    with fewer than 3 spikes are excluded and counted."""
+    with fewer than 3 spikes are excluded and counted.
+
+    One sort by (id, time) and per-neuron sums with ``bincount``: the cost
+    follows the spikes in the window, whatever order the record is in.
+    """
     if window is None:
         window = (0.0, record.duration)
     lo, hi = window
     in_win = (record.times >= lo) & (record.times < hi)
     times, ids = record.times[in_win], record.ids[in_win]
-    per_neuron = {}
-    excluded = 0
-    for neuron in np.unique(ids):
-        t = np.sort(times[ids == neuron])
-        if len(t) < 3:
-            excluded += 1
-            continue
-        isi = np.diff(t)
-        m = isi.mean()
-        per_neuron[int(neuron)] = float(isi.std() / m) if m > 0 else 0.0
+    order = np.lexsort((times, ids))
+    times, ids = times[order], ids[order]
+    n_spikes = np.bincount(ids, minlength=record.n_neurons)
+    n_isi = np.maximum(n_spikes - 1, 1)
+    # differences of consecutive spikes, owned by the later one's neuron; a
+    # difference across two neurons is zeroed so that it adds nothing
+    owner, across = ids[1:], ids[1:] != ids[:-1]
+    isi = np.diff(times)
+    isi[across] = 0.0
+    mean = np.bincount(owner, isi, minlength=len(n_spikes)) / n_isi
+    isi -= mean[owner]  # in place: deviations, then their squares
+    isi[across] = 0.0
+    isi *= isi
+    std = np.sqrt(np.bincount(owner, isi, minlength=len(n_spikes)) / n_isi)
+    neurons = np.flatnonzero(n_spikes >= 3)
+    m = mean[neurons]
+    cv = np.divide(std[neurons], m, out=np.zeros_like(m), where=m > 0)
+    per_neuron = dict(zip(neurons.tolist(), cv.tolist()))
     # recorded neurons that never spiked also count as excluded
-    excluded += len(record.neurons_recorded()) - len(np.unique(ids)) \
-        if len(ids) else len(record.neurons_recorded())
-    return CvIsiResult(per_neuron, excluded)
+    return CvIsiResult(per_neuron,
+                       len(record.neurons_recorded()) - len(per_neuron))
 
 
 def synchrony(record: SpikeRecord, window: tuple[float, float],
@@ -143,16 +154,17 @@ def synchrony(record: SpikeRecord, window: tuple[float, float],
     if len(neurons) < 2:
         raise WafersimError("synchrony needs at least 2 recorded neurons")
     in_win = (record.times >= lo) & (record.times < lo + n_bins * bin_ms)
-    ids = record.ids[in_win]
+    ids = record.ids[in_win].astype(np.int64)
     bins = ((record.times[in_win] - lo) / bin_ms).astype(np.int64)
-    id_index = np.full(record.n_neurons, -1, dtype=np.int64)
-    id_index[neurons] = np.arange(len(neurons))
-    counts = np.zeros((len(neurons), n_bins), dtype=np.float64)
-    np.add.at(counts, (id_index[ids], bins), 1.0)
-    pop = counts.sum(axis=0)
-    single_var = counts.var(axis=1).mean()
+    # per-neuron sums of the (neuron, bin) counts c and of c^2, from the
+    # occupied bins only; both are integers, exact in float64 below 2^53
+    keys, c = np.unique(ids * n_bins + bins, return_counts=True)
+    s1 = np.bincount(ids, minlength=record.n_neurons)[neurons]
+    s2 = np.bincount(keys // n_bins, c * c, minlength=record.n_neurons)[neurons]
+    single_var = (n_bins * s2 - s1 ** 2).mean() / n_bins**2
     if single_var == 0:
         return 0.0
+    pop = np.bincount(bins, minlength=n_bins).astype(np.float64)
     return float(pop.var() / (len(neurons) * single_var))
 
 

@@ -13,16 +13,7 @@ import sys
 from pathlib import Path
 
 from .adaptation import AdaptationConfig, adapt_pipeline
-from .analysis import (
-    RegimeThresholds,
-    SweepBaseConfig,
-    classify_regime,
-    cv_isi,
-    mean_rates,
-    phase_sweep,
-    rate_distribution,
-    synchrony,
-)
+from .analysis import SweepBaseConfig, phase_sweep
 from .bench import throughput_metrics
 from .engine import (
     SimulationConfig,
@@ -62,6 +53,7 @@ from .pipeline import (
     build_model,
     run_pipeline,
     scaled_brunel_config,
+    write_analysis,
 )
 
 EXIT_OK = 0
@@ -165,37 +157,7 @@ def cmd_simulate(args) -> int:
 def cmd_analyze(args) -> int:
     record = load_spikes_binary(args.spikes)
     cfg = _load_config(args).get("analysis", {})
-    lo = args.window_start if args.window_start is not None \
-        else float(cfg.get("window_start", min(1000.0, record.duration / 2)))
-    window = (lo, float(cfg.get("window_end", record.duration)))
-    rates = mean_rates(record, window)
-    out = _out_dir(args)
-    lines = ["population,mean_rate_hz"]
-    for pid, rate in rates.per_population_mean.items():
-        lines.append(f"{pid},{rate:.6f}")
-    (out / "rates.csv").write_text("\n".join(lines) + "\n")
-    hist_lines = ["population,bin_lo_hz,bin_hi_hz,count"]
-    for pid in record.population_slices:
-        try:
-            hist = rate_distribution(record, pid, window,
-                                     bins=int(cfg.get("bins", 20)))
-        except WafersimError:
-            continue
-        for b_lo, b_hi, c in zip(hist.bin_edges[:-1], hist.bin_edges[1:],
-                                 hist.counts):
-            hist_lines.append(f"{pid},{b_lo:.4f},{b_hi:.4f},{c}")
-    (out / "rate_histograms.csv").write_text("\n".join(hist_lines) + "\n")
-    cv = cv_isi(record, window)
-    sync = synchrony(record, window, float(cfg.get("synchrony_bin_ms", 2.0)))
-    regime = classify_regime(rates, cv, sync, RegimeThresholds())
-    summary = {
-        "window": list(window),
-        "per_population_mean_rate_hz": rates.per_population_mean,
-        "cv_isi_mean": cv.mean(),
-        "synchrony": sync,
-        "regime": regime,
-    }
-    (out / "analysis.json").write_text(json.dumps(summary, indent=2))
+    summary, _ = write_analysis(record, cfg, _out_dir(args), args.window_start)
     print(json.dumps(summary, indent=2))
     return EXIT_OK
 

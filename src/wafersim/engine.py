@@ -674,13 +674,20 @@ def _record_header(record: SpikeRecord) -> dict:
     }
 
 
+_CSV_CHUNK = 1 << 16  # spikes per write: bounds the text held in memory
+
+
 def save_spikes_csv(record: SpikeRecord, path: Union[str, Path]) -> Path:
     path = Path(path)
     lines = [f"# {k}={json.dumps(v)}" for k, v in sorted(_record_header(record).items())]
     lines.append("time_ms,neuron_id")
-    for t, i in zip(record.times, record.ids):
-        lines.append(f"{t:.6f},{i}")
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as f:
+        f.write("\n".join(lines) + "\n")
+        # format Python numbers from tolist(), not numpy scalars one at a time
+        for k in range(0, len(record.times), _CSV_CHUNK):
+            rows = zip(record.times[k:k + _CSV_CHUNK].tolist(),
+                       record.ids[k:k + _CSV_CHUNK].tolist())
+            f.write("".join(map("%.6f,%d\n".__mod__, rows)))
     return path
 
 
@@ -754,7 +761,8 @@ def save_membrane_csv(record: SpikeRecord, path: Union[str, Path]) -> Path:
     path = Path(path)
     ids = sorted(record.probes)
     lines = ["time_ms," + ",".join(f"v_{i}" for i in ids)]
-    for k, t in enumerate(record.probe_times):
-        lines.append(f"{t:.6f}," + ",".join(f"{record.probes[i][k]:.6f}" for i in ids))
+    row = "%.6f," + ",".join(["%.6f"] * len(ids))
+    columns = [record.probe_times.tolist()] + [record.probes[i].tolist() for i in ids]
+    lines += map(row.__mod__, zip(*columns))
     path.write_text("\n".join(lines) + "\n")
     return path

@@ -15,6 +15,7 @@ placement is restricted by the availability mask.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
@@ -283,7 +284,14 @@ def save_mapping(result: MappingResult, path: Union[str, Path]) -> Path:
         "spec_hash": result.spec_hash,
         "topology_hash": result.topology_hash,
     }
-    path.write_text(json.dumps(doc, sort_keys=True))
+    # write a temp file beside the target and rename it over the target, so
+    # that a crash mid-write never leaves a truncated mapping under its name
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(doc, sort_keys=True))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return path
 
 

@@ -640,10 +640,21 @@ def load_spec(path: Union[str, Path]) -> NetworkSpec:
         blob = (path.parent / sc["file"]).read_bytes()
         if blob[:4] != _SIDECAR_MAGIC:
             raise WafersimError("corrupt edge sidecar")
+        end = len(_SIDECAR_MAGIC)
         for section, table in (("edges", spec.edges), ("stim_edges", spec.stim_edges)):
             for key, entry in sc["index"][section].items():
                 start = entry["offset"]
-                table[key] = EdgeList.from_bytes(blob[start:start + 16 * entry["count"]])
+                stop = start + 16 * entry["count"]
+                if not len(_SIDECAR_MAGIC) <= start <= stop <= len(blob):
+                    raise WafersimError(
+                        f"edge sidecar {sc['file']} is {len(blob)} bytes; "
+                        f"{section}/{key} needs bytes {start}-{stop}")
+                table[key] = EdgeList.from_bytes(blob[start:stop])
+                end = max(end, stop)
+        if end != len(blob):
+            raise WafersimError(
+                f"edge sidecar {sc['file']} is {len(blob)} bytes; "
+                f"its index ends at byte {end}")
     return spec
 
 

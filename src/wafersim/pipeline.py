@@ -25,6 +25,7 @@ from .analysis import (
 from .bench import throughput_metrics
 from .engine import (
     SimulationConfig,
+    SpikeRecord,
     save_spikes_binary,
     save_spikes_csv,
     simulate,
@@ -140,6 +141,54 @@ def scaled_microcircuit_config(seed: int = 0, duration: float = 10000.0,
     )
 
 
+def write_analysis(record: SpikeRecord, analysis_cfg: dict, out_dir: Path,
+                   window_start: Optional[float] = None) -> tuple[dict, dict]:
+    """The analyze stage: write ``rates.csv``, ``rate_histograms.csv`` and
+    ``analysis.json`` for ``record`` into ``out_dir``.
+
+    ``analysis_cfg`` may set ``window_start``, ``window_end``, ``bins`` and
+    ``synchrony_bin_ms``; a ``window_start`` argument overrides the config.
+    CV, synchrony and the regime are added to the summary only with at least
+    2 recorded neurons and a window of at least 20 ms.  Returns the summary
+    and the written artifacts by name.
+    """
+    if window_start is None:
+        window_start = analysis_cfg.get("window_start",
+                                        min(1000.0, record.duration / 2))
+    window = (float(window_start),
+              float(analysis_cfg.get("window_end", record.duration)))
+    rates = mean_rates(record, window)
+    lines = ["population,mean_rate_hz"]
+    for pid, rate in rates.per_population_mean.items():
+        lines.append(f"{pid},{rate:.6f}")
+    (out_dir / "rates.csv").write_text("\n".join(lines) + "\n")
+    hist_lines = ["population,bin_lo_hz,bin_hi_hz,count"]
+    bins = int(analysis_cfg.get("bins", 20))
+    for pid in record.population_slices:
+        try:
+            hist = rate_distribution(record, pid, window, bins=bins)
+        except WafersimError:
+            continue
+        for lo, hi, c in zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts):
+            hist_lines.append(f"{pid},{lo:.4f},{hi:.4f},{c}")
+    (out_dir / "rate_histograms.csv").write_text("\n".join(hist_lines) + "\n")
+    summary = {
+        "window": list(window),
+        "per_population_mean_rate_hz": rates.per_population_mean,
+    }
+    if len(rates.recorded_neurons) >= 2 and (window[1] - window[0]) >= 20.0:
+        cv = cv_isi(record, window)
+        sync = synchrony(record, window,
+                         float(analysis_cfg.get("synchrony_bin_ms", 2.0)))
+        summary["cv_isi_mean"] = cv.mean()
+        summary["synchrony"] = sync
+        summary["regime"] = classify_regime(rates, cv, sync, RegimeThresholds())
+    (out_dir / "analysis.json").write_text(json.dumps(summary, indent=2))
+    return summary, {"rates": out_dir / "rates.csv",
+                     "histograms": out_dir / "rate_histograms.csv",
+                     "analysis": out_dir / "analysis.json"}
+
+
 def run_pipeline(config: Union[PipelineConfig, str, Path, dict],
                  out_dir: Union[str, Path], threads: int = 1) -> PipelineResult:
     """Execute all stages, writing intermediate files; idempotent reruns
@@ -190,10 +239,14 @@ def run_pipeline(config: Union[PipelineConfig, str, Path, dict],
                     "network does not fit the wafer: " + "; ".join(cap.notes))
             cache_key = f"{mapping_relevant_hash(adapted)}_{topology.content_hash()}"
             cache_path = out_dir / f"mapping_{cache_key}.json"
+            result = None
             if cache_path.exists():
-                result = load_mapping(cache_path)
-                mapping_cached = True
-            else:
+                try:
+                    result = load_mapping(cache_path)
+                    mapping_cached = True
+                except (ValueError, KeyError, TypeError):
+                    pass  # an entry that does not load is a miss: remap
+            if result is None:
                 result = map_network(adapted, topology, seed=config.seed)
                 save_mapping(result, cache_path)
             artifacts["mapping"] = cache_path
@@ -218,41 +271,7 @@ def run_pipeline(config: Union[PipelineConfig, str, Path, dict],
 
     # analyze
     try:
-        a_cfg = dict(config.analysis)
-        window = (
-            float(a_cfg.get("window_start", min(1000.0, record.duration / 2))),
-            float(a_cfg.get("window_end", record.duration)),
-        )
-        rates = mean_rates(record, window)
-        lines = ["population,mean_rate_hz"]
-        for pid, rate in rates.per_population_mean.items():
-            lines.append(f"{pid},{rate:.6f}")
-        (out_dir / "rates.csv").write_text("\n".join(lines) + "\n")
-        artifacts["rates"] = out_dir / "rates.csv"
-        hist_lines = ["population,bin_lo_hz,bin_hi_hz,count"]
-        bins = int(a_cfg.get("bins", 20))
-        for pid in record.population_slices:
-            try:
-                hist = rate_distribution(record, pid, window, bins=bins)
-            except WafersimError:
-                continue
-            for lo, hi, c in zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts):
-                hist_lines.append(f"{pid},{lo:.4f},{hi:.4f},{c}")
-        (out_dir / "rate_histograms.csv").write_text("\n".join(hist_lines) + "\n")
-        artifacts["histograms"] = out_dir / "rate_histograms.csv"
-        summary = {
-            "window": list(window),
-            "per_population_mean_rate_hz": rates.per_population_mean,
-        }
-        if len(rates.recorded_neurons) >= 2 and (window[1] - window[0]) >= 20.0:
-            cv = cv_isi(record, window)
-            sync = synchrony(record, window,
-                             float(a_cfg.get("synchrony_bin_ms", 2.0)))
-            summary["cv_isi_mean"] = cv.mean()
-            summary["synchrony"] = sync
-            summary["regime"] = classify_regime(rates, cv, sync, RegimeThresholds())
-        (out_dir / "analysis.json").write_text(json.dumps(summary, indent=2))
-        artifacts["analysis"] = out_dir / "analysis.json"
+        artifacts.update(write_analysis(record, config.analysis, out_dir)[1])
     except Exception as exc:
         raise StageFailure("analyze", exc)
 

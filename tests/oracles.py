@@ -1,7 +1,10 @@
-"""Independent dense-time oracles used across the test suite.
+"""Independent oracles used across the test suite.
 
-These integrate the subthreshold LIF equations directly with a 1 us Euler
-step, sharing no code with the engine or the analytic PSP formulas.
+The dense-time oracles integrate the subthreshold LIF equations directly
+with a 1 us Euler step, sharing no code with the engine or the analytic PSP
+formulas.  The analysis oracles compute CV of ISI and the synchrony index
+the direct way (one mask per neuron, a dense neurons x bins matrix), sharing
+no code with ``wafersim.analysis``.
 """
 
 import numpy as np
@@ -52,3 +55,38 @@ def lif_constant_current_rate(i_const, tau_m, tau_ref, c_m,
         return 0.0
     t_isi = tau_ref + tau_m * np.log((v_inf - v_reset) / (v_inf - v_thresh))
     return 1000.0 / t_isi
+
+
+def cv_isi_per_neuron(times, ids, n_neurons_recorded, window):
+    """(per-neuron CV dict, excluded count) by masking the spikes of one
+    neuron at a time: neurons with fewer than 3 spikes in ``window`` are
+    excluded, a zero mean ISI gives CV 0, and the ISI std uses ddof=0."""
+    lo, hi = window
+    in_win = (times >= lo) & (times < hi)
+    times, ids = times[in_win], ids[in_win]
+    per_neuron = {}
+    for neuron in np.unique(ids):
+        t = np.sort(times[ids == neuron])
+        if len(t) < 3:
+            continue
+        isi = np.diff(t)
+        m = isi.mean()
+        per_neuron[int(neuron)] = float(isi.std() / m) if m > 0 else 0.0
+    return per_neuron, n_neurons_recorded - len(per_neuron)
+
+
+def synchrony_dense(times, ids, neurons, n_neurons, window, bin_ms):
+    """Pooled-variance synchrony index from a dense recorded-neurons x bins
+    count matrix: Var(population count) / (N * mean single-neuron variance)."""
+    lo, hi = window
+    n_bins = int((hi - lo) / bin_ms)
+    in_win = (times >= lo) & (times < lo + n_bins * bin_ms)
+    bins = ((times[in_win] - lo) / bin_ms).astype(np.int64)
+    row = np.full(n_neurons, -1, dtype=np.int64)
+    row[neurons] = np.arange(len(neurons))
+    counts = np.zeros((len(neurons), n_bins))
+    np.add.at(counts, (row[ids[in_win]], bins), 1.0)
+    single_var = counts.var(axis=1).mean()
+    if single_var == 0:
+        return 0.0
+    return float(counts.sum(axis=0).var() / (len(neurons) * single_var))

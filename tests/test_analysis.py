@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wafersim.adaptation import AdaptationConfig
 from wafersim.analysis import (
@@ -17,6 +19,8 @@ from wafersim.analysis import (
 from wafersim.engine import SimulationConfig, SpikeRecord, poisson_source
 from wafersim.models import BrunelParams
 from wafersim.network import WafersimError
+
+from oracles import cv_isi_per_neuron, synchrony_dense
 
 
 def make_record(times, ids, n_neurons, duration, slices=None):
@@ -119,6 +123,85 @@ class TestSynchrony:
         single = poisson_record(1, 30.0, 1000.0, seed=5)
         with pytest.raises(WafersimError):
             synchrony(single, (0.0, 1000.0), bin_ms=2.0)
+
+
+DURATION = 100.0
+
+
+@st.composite
+def spike_records(draw):
+    """Small records in generation order, not sorted: spikes on a coarse grid
+    (many exact duplicates) or anywhere in [0, DURATION], and optionally a
+    recorded subset that, as in ``readout_subset``, keeps only its spikes."""
+    n = draw(st.integers(2, 8))
+    when = st.one_of(st.integers(0, 400).map(lambda k: k * 0.25),
+                     st.floats(0.0, DURATION))
+    spikes = draw(st.lists(st.tuples(when, st.integers(0, n - 1)), max_size=80))
+    times = np.array([t for t, _ in spikes], np.float64)
+    ids = np.array([i for _, i in spikes], np.uint32)
+    recorded = None
+    if draw(st.booleans()):
+        recorded = np.array(sorted(draw(st.sets(st.integers(0, n - 1),
+                                                min_size=2))), np.uint32)
+        keep = np.isin(ids, recorded)
+        times, ids = times[keep], ids[keep]
+    return SpikeRecord(times=times, ids=ids, n_neurons=n, duration=DURATION,
+                       dt=0.1, deliveries=0, wall_time=0.0,
+                       population_slices={"all": (0, n)},
+                       recorded_neurons=recorded)
+
+
+windows = st.tuples(st.floats(0.0, 40.0), st.floats(60.0, DURATION))
+
+
+def check_cv_against_oracle(record, window):
+    result = cv_isi(record, window)
+    want, excluded = cv_isi_per_neuron(record.times, record.ids,
+                                       len(record.neurons_recorded()), window)
+    assert set(result.per_neuron) == set(want)
+    assert result.excluded == excluded
+    for neuron, cv in want.items():
+        # near-equal ISIs leave a CV of a few ulp that depends on summation
+        # order, hence the absolute floor
+        assert result.per_neuron[neuron] == pytest.approx(cv, rel=1e-12,
+                                                          abs=1e-13)
+
+
+class TestSparseAgainstDenseOracles:
+    """cv_isi and synchrony against the per-neuron mask and dense-matrix
+    computations they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(spike_records(), windows)
+    def test_cv_isi(self, record, window):
+        check_cv_against_oracle(record, window)
+
+    @settings(max_examples=300, deadline=None)
+    @given(spike_records(), windows, st.sampled_from([0.5, 1.0, 1.7, 2.0]))
+    def test_synchrony(self, record, window, bin_ms):
+        got = synchrony(record, window, bin_ms)
+        want = synchrony_dense(record.times, record.ids,
+                               record.neurons_recorded(), record.n_neurons,
+                               window, bin_ms)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_cv_isi_spike_counts_and_duplicates(self):
+        # neurons 0, 1, 5, 2 and 4 have 0, 1, 2, 3 and 4 spikes in the
+        # window, unsorted; neuron 3 fires three times at one instant (zero
+        # ISIs, mean 0) and neuron 4 has a duplicate among its four; the
+        # spikes at 5 and 95 ms fall outside the window
+        times = [50, 30, 70, 40, 40, 40, 5, 95, 20, 20, 60, 80, 10, 25, 15]
+        ids = [2, 1, 2, 3, 3, 3, 2, 4, 4, 4, 4, 4, 2, 5, 5]
+        record = SpikeRecord(
+            times=np.array(times, np.float64), ids=np.array(ids, np.uint32),
+            n_neurons=6, duration=DURATION, dt=0.1, deliveries=0,
+            wall_time=0.0, population_slices={"all": (0, 6)})
+        window = (10.0, 90.0)
+        result = cv_isi(record, window)
+        assert set(result.per_neuron) == {2, 3, 4}
+        assert result.per_neuron[3] == 0.0
+        assert result.excluded == 3  # neurons 0, 1 and 5
+        check_cv_against_oracle(record, window)
 
 
 class TestClassifyRegime:

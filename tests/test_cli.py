@@ -68,6 +68,13 @@ class TestStageCommands:
                      "--window-start", "100"]) == EXIT_OK
         summary = json.loads((built / "analysis.json").read_text())
         assert "regime" in summary
+        # a window under 20 ms gets rates only, as in the pipeline
+        short = built / "short"
+        assert main(["analyze", spikes, "--out-dir", str(short),
+                     "--window-start", "290"]) == EXIT_OK
+        summary = json.loads((short / "analysis.json").read_text())
+        assert summary["window"] == [290.0, 300.0]
+        assert "regime" not in summary and "synchrony" not in summary
 
     def test_map_capacity_failure_exit_3(self, built, tmp_path):
         spec = str(built / "spec.json")

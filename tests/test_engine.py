@@ -3,6 +3,7 @@ import pytest
 import scipy.stats
 
 from oracles import dense_psp_peak_conductance, lif_constant_current_rate
+from wafersim import engine
 from wafersim.engine import (
     BLOCK_CAP,
     SimulationConfig,
@@ -13,6 +14,7 @@ from wafersim.engine import (
     load_spikes_binary,
     poisson_source,
     readout_subset,
+    save_membrane_csv,
     save_spikes_binary,
     save_spikes_csv,
     simulate,
@@ -504,6 +506,42 @@ class TestSerialization:
         assert "time_ms,neuron_id" in lines
         n_rows = len(lines) - len(headers) - 1
         assert n_rows == record.spike_count()
+
+    # values off the dt grid, decimal ties at the 7th decimal (0.0000005,
+    # 2.5e-7), whose binary value decides the rounding, negative and large
+    # values, and the largest uint32 id
+    OFF_GRID = np.concatenate([
+        [0.0, 0.0000005, 2.5e-7, 0.0000015, 1.0000005, 0.1234565, -0.0000005,
+         -2.5e-7, 123.4567895, 99999.9999995, 1e-12],
+        np.random.default_rng(7).uniform(0.0, 1000.0, 200)])
+
+    @pytest.mark.parametrize("chunk", [7, engine._CSV_CHUNK])
+    def test_csv_rows_match_numpy_scalar_formatting(self, tmp_path,
+                                                    monkeypatch, chunk):
+        monkeypatch.setattr(engine, "_CSV_CHUNK", chunk)
+        times = self.OFF_GRID
+        ids = np.arange(len(times), dtype=np.uint32)
+        ids[-1] = np.iinfo(np.uint32).max
+        record = SpikeRecord(times=times, ids=ids, n_neurons=len(times),
+                             duration=1000.0, dt=0.1, deliveries=0,
+                             wall_time=0.0, population_slices={})
+        text = save_spikes_csv(record, tmp_path / "s.csv").read_text()
+        rows = text.split("time_ms,neuron_id\n")[1]
+        assert rows == "".join(f"{t:.6f},{i}\n" for t, i in zip(times, ids))
+
+    def test_membrane_csv_matches_numpy_scalar_formatting(self, tmp_path):
+        values = self.OFF_GRID
+        record = SpikeRecord(
+            times=np.zeros(0), ids=np.zeros(0, np.uint32), n_neurons=200,
+            duration=1000.0, dt=0.1, deliveries=0, wall_time=0.0,
+            population_slices={}, probe_times=values,
+            probes={150: values[::-1].copy(), 3: -values})
+        lines = ["time_ms,v_3,v_150"]
+        for k, t in enumerate(record.probe_times):
+            lines.append(f"{t:.6f}," + ",".join(
+                f"{record.probes[i][k]:.6f}" for i in (3, 150)))
+        path = save_membrane_csv(record, tmp_path / "m.csv")
+        assert path.read_text() == "\n".join(lines) + "\n"
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "junk.bin"

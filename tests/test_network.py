@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wafersim.models import BrunelParams, build_brunel
 from wafersim.network import (
     EdgeList,
     FixedInDegree,
@@ -16,6 +17,7 @@ from wafersim.network import (
     StimulusKind,
     StimulusSpec,
     SynapseKind,
+    WafersimError,
     ensure_sampled,
     in_degree_array,
     in_degree_stats,
@@ -190,6 +192,21 @@ class TestSerialization:
         assert sidecar.read_bytes()[:4] == b"WSED"
         again = load_spec(path)
         assert spec_content_hash(again) == spec_content_hash(spec)
+
+    # cut on a 16-byte edge boundary (loaded as fewer edges before), cut
+    # inside an edge (a raw numpy error before), or trailing bytes
+    @pytest.mark.parametrize("change", [
+        lambda raw: raw[:-16_000], lambda raw: raw[:-7],
+        lambda raw: raw + bytes(16)])
+    def test_sidecar_length_checked(self, tmp_path, change):
+        spec = ensure_sampled(build_brunel(BrunelParams(n_total=500), seed=0))
+        path = save_spec(spec, tmp_path / "net.json", sidecar=True)
+        sidecar = tmp_path / "net.json.edges"
+        raw = sidecar.read_bytes()
+        assert len(raw) > 16_000
+        sidecar.write_bytes(change(raw))
+        with pytest.raises(WafersimError, match="edge sidecar"):
+            load_spec(path)
 
     def test_edge_list_bytes_roundtrip(self):
         e = EdgeList.from_arrays(

@@ -60,6 +60,16 @@ class TestMappingCache:
         result = run_pipeline(changed, tmp_path)
         assert not result.mapping_cached
 
+    def test_truncated_cache_entry_is_a_miss(self, tmp_path):
+        run_pipeline(small_config(), tmp_path)
+        (cache,) = tmp_path.glob("mapping_*_*.json")
+        cache.write_text(cache.read_text()[:100])
+        rerun = run_pipeline(small_config(), tmp_path)
+        assert not rerun.mapping_cached
+        assert run_pipeline(small_config(), tmp_path).mapping_cached
+        # overwritten in place, no temp file left behind
+        assert [p.name for p in tmp_path.glob("mapping_*_*")] == [cache.name]
+
     def test_seed_change_remaps(self, tmp_path):
         run_pipeline(small_config(seed=1), tmp_path)
         result = run_pipeline(small_config(seed=2), tmp_path)
