@@ -22,7 +22,7 @@ from .engine import (
     readout_subset,
     simulate,
 )
-from .hardware import WaferTopology, build_wafer, capacity_report, circuits_needed
+from .hardware import WaferTopology, capacity_report, circuits_needed
 from .mapping import MappingResult, apply_loss, map_network, mapping_report
 from .models import (
     BrunelParams,

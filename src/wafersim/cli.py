@@ -12,32 +12,16 @@ import json
 import sys
 from pathlib import Path
 
-from .adaptation import AdaptationConfig, adapt_pipeline
+from .adaptation import AdaptationConfig
 from .analysis import SweepBaseConfig, phase_sweep
-from .bench import throughput_metrics
-from .engine import (
-    SimulationConfig,
-    SimulationDiagnosticError,
-    load_spikes_binary,
-    save_membrane_csv,
-    save_spikes_binary,
-    save_spikes_csv,
-    simulate,
-)
+from .engine import SimulationConfig, SimulationDiagnosticError, load_spikes_binary
 from .hardware import (
     CapacityError,
     InfeasibleFanInError,
     WaferTopology,
     capacity_report,
 )
-from .mapping import (
-    MappingMismatchError,
-    PlacementOverflowError,
-    apply_loss,
-    map_network,
-    mapping_report,
-    save_mapping,
-)
+from .mapping import MappingMismatchError, PlacementOverflowError
 from .models import BrunelParams
 from .network import (
     WafersimError,
@@ -50,9 +34,12 @@ from .pipeline import (
     PipelineConfig,
     StageFailure,
     ValidationFailure,
+    adapt_stage,
     build_model,
+    map_stage,
     run_pipeline,
     scaled_brunel_config,
+    simulate_stage,
     write_analysis,
 )
 
@@ -102,15 +89,9 @@ def cmd_adapt(args) -> int:
     cfg = _load_config(args)
     adapt_cfg = AdaptationConfig.from_dict(
         {"seed": args.seed, **cfg.get("adaptation", cfg)})
-    adapted, report = adapt_pipeline(spec, adapt_cfg)
-    ensure_sampled(adapted)
-    out = _out_dir(args)
-    path = save_spec(adapted, out / "adapted.json")
-    (out / "adaptation_report.json").write_text(
-        json.dumps(report.to_dict(), indent=2))
-    (out / "adaptation_report.txt").write_text(report.render_text())
+    _, report, artifacts = adapt_stage(spec, adapt_cfg, _out_dir(args))
     print(report.render_text())
-    print(f"wrote {path}")
+    print(f"wrote {artifacts['adapted']}")
     return EXIT_OK
 
 
@@ -118,19 +99,11 @@ def cmd_map(args) -> int:
     spec = ensure_sampled(load_spec(args.spec))
     cfg = _load_config(args)
     topology = WaferTopology.from_dict(cfg.get("topology", cfg))
-    cap = capacity_report(topology, spec)
-    if not cap.feasible:
-        print("capacity check failed:", "; ".join(cap.notes), file=sys.stderr)
-        return EXIT_CAPACITY
-    result = map_network(spec, topology, seed=args.seed)
-    out = _out_dir(args)
-    save_mapping(result, out / "mapping.json")
-    report = mapping_report(result, topology)
-    (out / "mapping_report.json").write_text(json.dumps(report, indent=2))
-    mapped = apply_loss(spec, result)
-    save_spec(mapped, out / "mapped.json")
-    print(f"mapped: {report['total_realized']} of {report['total_requested']} "
-          f"synapses realized (loss {report['loss_fraction']:.4f})")
+    _, result, cached, _ = map_stage(spec, topology, args.seed, _out_dir(args))
+    realized = sum(result.realized.values())
+    print(f"mapped: {realized} of {result.total_requested()} synapses "
+          f"realized (loss {result.loss_fraction():.4f})"
+          + (" [cached mapping]" if cached else ""))
     return EXIT_OK
 
 
@@ -143,12 +116,7 @@ def cmd_simulate(args) -> int:
         sim["duration"] = args.duration
     if args.dt is not None:
         sim["dt"] = args.dt
-    record = simulate(spec, SimulationConfig(**sim))
-    out = _out_dir(args)
-    save_spikes_csv(record, out / "spikes.csv")
-    save_spikes_binary(record, out / "spikes.bin")
-    if record.probes:
-        save_membrane_csv(record, out / "membrane.csv")
+    record, _ = simulate_stage(spec, SimulationConfig(**sim), _out_dir(args))
     print(f"{record.spike_count()} spikes, {record.deliveries} deliveries, "
           f"{record.wall_time:.3f} s wall")
     return EXIT_OK
@@ -197,9 +165,8 @@ def cmd_bench(args) -> int:
     else:
         config = scaled_brunel_config(seed=args.seed,
                                       duration=args.duration or 2000.0)
-    result = run_pipeline(config, _out_dir(args), threads=args.threads)
-    report = throughput_metrics(result.record)
-    print(report.render_text())
+    result = run_pipeline(config, _out_dir(args))
+    print(result.throughput.render_text())
     return EXIT_OK
 
 
@@ -226,7 +193,6 @@ def make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out-dir", default=".")
-    common.add_argument("--threads", type=int, default=1)
     common.add_argument("--config", default=None,
                         help="JSON config document with per-stage sections")
 
@@ -264,6 +230,8 @@ def make_parser() -> argparse.ArgumentParser:
                        help="run a (g, eta) phase sweep")
     p.add_argument("--g", default=None, help="comma-separated g values")
     p.add_argument("--eta", default=None, help="comma-separated eta values")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes for the grid cells")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bench", parents=[common],

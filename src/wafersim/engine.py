@@ -41,7 +41,7 @@ import json
 import struct
 import time as _time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Union
 
@@ -635,14 +635,8 @@ def readout_subset(record: SpikeRecord, n: int, seed: int,
     if n == 0 and record.spike_count():
         warnings.warn("empty readout subset requested on a nonempty record")
     keep = np.isin(record.ids, chosen)
-    return SpikeRecord(
-        times=record.times[keep], ids=record.ids[keep],
-        n_neurons=record.n_neurons, duration=record.duration, dt=record.dt,
-        deliveries=record.deliveries, wall_time=record.wall_time,
-        population_slices=record.population_slices, config=record.config,
-        recorded_neurons=chosen,
-        probe_times=record.probe_times, probes=record.probes,
-    )
+    return replace(record, times=record.times[keep], ids=record.ids[keep],
+                   recorded_neurons=chosen)
 
 
 def biological_speedup(bio_duration_ms: float, wall_duration_s: float) -> float:

@@ -10,13 +10,12 @@ per-ASIC splits are modeling choices and fully config-overridable.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
-from .network import NetworkSpec, WafersimError, in_degree_array, in_degree_stats
+from .network import NetworkSpec, WafersimError, in_degree_array
 
 
 class InfeasibleFanInError(WafersimError):
@@ -36,14 +35,13 @@ class WaferTopology:
     fanin_per_circuit: int = 224
     max_merge: int = 64
     route_capacity: int = 320  # lanes per grid edge
-    offchip_readout_limit: int = 30
 
     def __post_init__(self):
         if min(self.rows, self.cols, self.circuits_per_asic,
                self.fanin_per_circuit, self.max_merge) <= 0:
             raise WafersimError("topology capacities must be positive")
-        if self.route_capacity < 0 or self.offchip_readout_limit < 0:
-            raise WafersimError("route_capacity and readout limit must be >= 0")
+        if self.route_capacity < 0:
+            raise WafersimError("route_capacity must be >= 0")
         if self.available is None:
             self.available = np.ones((self.rows, self.cols), dtype=bool)
         else:
@@ -77,12 +75,14 @@ class WaferTopology:
             "fanin_per_circuit": self.fanin_per_circuit,
             "max_merge": self.max_merge,
             "route_capacity": self.route_capacity,
-            "offchip_readout_limit": self.offchip_readout_limit,
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "WaferTopology":
         doc = dict(doc)
+        unknown = set(doc) - {f.name for f in fields(cls)}
+        if unknown:
+            raise WafersimError(f"unknown topology fields: {sorted(unknown)}")
         if doc.get("available") is not None:
             doc["available"] = np.asarray(doc["available"], dtype=bool)
         return cls(**doc)
@@ -95,48 +95,40 @@ class WaferTopology:
         ).hexdigest()
 
 
-@dataclass
-class CombinedNeuron:
-    asic: int  # index into asic_coords() order
-    first_circuit: int
-    n_circuits: int
-
-    def fan_in_capacity(self, topology: WaferTopology) -> int:
-        return self.n_circuits * topology.fanin_per_circuit
-
-
-def build_wafer(config: Optional[dict] = None) -> WaferTopology:
-    """Topology from a config dict; defaults match the published aggregates."""
-    return WaferTopology.from_dict(config or {})
-
-
-def circuits_needed(fan_in: int, topology: WaferTopology) -> int:
-    """Circuits that must be merged to accommodate ``fan_in`` synapses."""
-    if fan_in < 0:
+def circuits_needed(fan_in, topology: WaferTopology):
+    """Circuits that must be merged to accommodate ``fan_in`` synapses; for
+    an array of fan-ins, the count per entry."""
+    fan_in = np.asarray(fan_in, dtype=np.int64)
+    if np.any(fan_in < 0):
         raise WafersimError("fan_in must be >= 0")
-    n = max(1, math.ceil(fan_in / topology.fanin_per_circuit))
-    if n > topology.max_merge:
+    n = np.maximum(1, -(-fan_in // topology.fanin_per_circuit))
+    if np.any(n > topology.max_merge):
         raise InfeasibleFanInError(
-            f"fan-in {fan_in} needs {n} circuits > max_merge {topology.max_merge}"
+            f"fan-in {fan_in.max()} needs {n.max()} circuits > max_merge "
+            f"{topology.max_merge}"
         )
     return n
 
 
-def _pack_circuits(per_neuron_circuits: np.ndarray, topology: WaferTopology
-                   ) -> Optional[int]:
-    """ASICs consumed by greedy contiguous packing (one fresh ASIC per
-    population is accounted for by the caller); None if any neuron is
-    unplaceable.  Mirrors the mapper's placement arithmetic exactly."""
-    used_asics = 0
-    free = 0
-    for m in per_neuron_circuits:
-        if m > topology.circuits_per_asic:
+def pack_circuits(circuits: np.ndarray, topology: WaferTopology
+                  ) -> Optional[np.ndarray]:
+    """Pack one population, which starts on a fresh ASIC: neurons in index
+    order fill an ASIC until the next neuron's circuits do not fit, and that
+    neuron opens the next ASIC.  Returns the index of the first neuron on
+    each ASIC used, or None if a neuron needs more circuits than an ASIC has.
+    Both the capacity check and the mapper place with this function."""
+    ends = np.cumsum(circuits)
+    starts = []
+    i = 0
+    while i < len(ends):
+        base = ends[i - 1] if i else 0
+        j = int(np.searchsorted(ends, base + topology.circuits_per_asic,
+                                side="right"))
+        if j == i:
             return None
-        if m > free:
-            used_asics += 1
-            free = topology.circuits_per_asic
-        free -= m
-    return used_asics
+        starts.append(i)
+        i = j
+    return np.asarray(starts, dtype=np.int64)
 
 
 @dataclass
@@ -160,12 +152,11 @@ def capacity_report(topology: WaferTopology, spec: NetworkSpec) -> CapacityRepor
     """Feasibility summary: circuits and ASICs required vs available.
 
     Accounts for circuit merging per neuron fan-in and for per-population
-    packing fragmentation (the same arithmetic the mapper uses), so
-    ``feasible`` guarantees the mapper can place all neurons.  Does not route.
+    packing fragmentation (the packer the mapper uses), so ``feasible``
+    guarantees the mapper can place all neurons.  Does not route.
     """
     notes = []
     degrees = in_degree_array(spec)
-    stats = in_degree_stats(spec)
     max_fan_in = int(degrees.max()) if len(degrees) else 0
     feasible = True
     if max_fan_in > topology.max_fan_in:
@@ -176,27 +167,26 @@ def capacity_report(topology: WaferTopology, spec: NetworkSpec) -> CapacityRepor
         required_circuits = 0
         required_asics = None
     else:
-        per_neuron = np.maximum(
-            1, np.ceil(degrees / topology.fanin_per_circuit).astype(np.int64))
+        per_neuron = circuits_needed(degrees, topology)
         required_circuits = int(per_neuron.sum())
         required_asics = 0
         offsets = spec.population_offsets()
         for pop in spec.populations:  # each population starts on a fresh ASIC
             o = offsets[pop.pid]
-            used = _pack_circuits(per_neuron[o:o + pop.size], topology)
-            if used is None:
+            starts = pack_circuits(per_neuron[o:o + pop.size], topology)
+            if starts is None:
                 feasible = False
                 notes.append(f"population {pop.pid} has an unplaceable neuron")
                 required_asics = None
                 break
-            required_asics += used
+            required_asics += len(starts)
         if required_asics is not None and required_asics > topology.n_asics:
             feasible = False
             notes.append(
                 f"requires {required_asics} ASICs, only {topology.n_asics} available"
             )
     realizable_bound = min(
-        stats.total_synapses,
+        int(degrees.sum()),
         topology.total_circuits * topology.fanin_per_circuit,
     )
     return CapacityReport(

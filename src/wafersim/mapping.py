@@ -22,7 +22,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .hardware import WaferTopology, circuits_needed
+from .hardware import WaferTopology, circuits_needed, pack_circuits
 from .network import (
     NetworkSpec,
     WafersimError,
@@ -75,41 +75,41 @@ class MappingResult:
         return self.total_lost() / req if req else 0.0
 
 
-def place(spec: NetworkSpec, topology: WaferTopology, seed: int = 0) -> Placement:
-    """Greedy contiguous placement: populations in declaration order, neurons
-    in index order, each population starting on a fresh ASIC; each neuron
-    merges circuits_needed(fan-in) circuits on its home ASIC."""
+def place(spec: NetworkSpec, topology: WaferTopology) -> Placement:
+    """Greedy contiguous placement: populations in declaration order, each
+    packed by ``pack_circuits`` from a fresh ASIC; each neuron merges
+    circuits_needed(fan-in) circuits on its home ASIC."""
     ensure_sampled(spec)
     degrees = in_degree_array(spec)
-    n = spec.n_neurons()
-    neuron_asic = np.full(n, -1, dtype=np.int64)
-    neuron_circ = np.zeros(n, dtype=np.int64)
-    n_asics = topology.n_asics
-    asic_used = np.zeros(n_asics, dtype=np.int64)
+    # packed with fan-ins capped at max_fan_in, so that a network that does
+    # not fit raises PlacementOverflowError even if a fan-in is also too large
+    circuits = circuits_needed(np.minimum(degrees, topology.max_fan_in), topology)
+    neuron_asic = np.empty(spec.n_neurons(), dtype=np.int64)
+    asic_used = np.zeros(topology.n_asics, dtype=np.int64)
     pop_asics: dict[str, list[int]] = {}
     offsets = spec.population_offsets()
-    asic = -1
-    free = 0
+    first = 0  # the population's first ASIC
     for pop in spec.populations:
-        free = 0  # fresh ASIC per population: keeps clusters contiguous
-        pop_set: list[int] = []
         o = offsets[pop.pid]
-        for i in range(o, o + pop.size):
-            m = circuits_needed(int(degrees[i]), topology)
-            if m > free:
-                asic += 1
-                if asic >= n_asics:
-                    raise PlacementOverflowError(
-                        f"ran out of ASICs placing population {pop.pid}"
-                    )
-                free = topology.circuits_per_asic
-                pop_set.append(asic)
-            neuron_asic[i] = asic
-            neuron_circ[i] = m
-            asic_used[asic] += m
-            free -= m
-        pop_asics[pop.pid] = pop_set
-    return Placement(neuron_asic, neuron_circ, asic_used, pop_asics)
+        pop_circuits = circuits[o:o + pop.size]
+        starts = pack_circuits(pop_circuits, topology)
+        if starts is None:
+            raise PlacementOverflowError(
+                f"population {pop.pid} has a neuron that needs more circuits "
+                f"than an ASIC has"
+            )
+        stop = first + len(starts)
+        if stop > topology.n_asics:
+            raise PlacementOverflowError(
+                f"ran out of ASICs placing population {pop.pid}"
+            )
+        neuron_asic[o:o + pop.size] = np.repeat(
+            np.arange(first, stop), np.diff(starts, append=pop.size))
+        asic_used[first:stop] = np.add.reduceat(pop_circuits, starts)
+        pop_asics[pop.pid] = list(range(first, stop))
+        first = stop
+    circuits_needed(degrees, topology)  # InfeasibleFanInError past max_fan_in
+    return Placement(neuron_asic, circuits, asic_used, pop_asics)
 
 
 def _manhattan_path(a: tuple[int, int], b: tuple[int, int]
@@ -194,7 +194,7 @@ def route(spec: NetworkSpec, placement: Placement, topology: WaferTopology,
 def map_network(spec: NetworkSpec, topology: WaferTopology, seed: int = 0
                 ) -> MappingResult:
     """place + route in one call."""
-    return route(spec, place(spec, topology, seed), topology, seed)
+    return route(spec, place(spec, topology), topology, seed)
 
 
 def apply_loss(spec: NetworkSpec, result: MappingResult) -> NetworkSpec:
@@ -296,25 +296,31 @@ def save_mapping(result: MappingResult, path: Union[str, Path]) -> Path:
 
 
 def load_mapping(path: Union[str, Path]) -> MappingResult:
-    doc = json.loads(Path(path).read_text())
-    pl = doc["placement"]
-    placement = Placement(
-        neuron_asic=np.asarray(pl["neuron_asic"], dtype=np.int64),
-        neuron_circuits=np.asarray(pl["neuron_circuits"], dtype=np.int64),
-        asic_used=np.asarray(pl["asic_used"], dtype=np.int64),
-        population_asics=pl["population_asics"],
-    )
-    return MappingResult(
-        placement=placement,
-        requested=doc["requested"],
-        realized=doc["realized"],
-        lost=doc["lost"],
-        admitted_pairs={tuple(p) for p in doc["admitted_pairs"]},
-        lost_pairs={tuple(p) for p in doc["lost_pairs"]},
-        lane_utilization={
-            (tuple(u), tuple(v)): n for u, v, n in doc["lane_utilization"]
-        },
-        seed=doc["seed"],
-        spec_hash=doc["spec_hash"],
-        topology_hash=doc["topology_hash"],
-    )
+    """Read a mapping written by ``save_mapping``; a file that is not valid
+    JSON or lacks a field raises ``WafersimError`` (a missing or unreadable
+    file raises ``OSError``)."""
+    try:
+        doc = json.loads(Path(path).read_text())
+        pl = doc["placement"]
+        placement = Placement(
+            neuron_asic=np.asarray(pl["neuron_asic"], dtype=np.int64),
+            neuron_circuits=np.asarray(pl["neuron_circuits"], dtype=np.int64),
+            asic_used=np.asarray(pl["asic_used"], dtype=np.int64),
+            population_asics=pl["population_asics"],
+        )
+        return MappingResult(
+            placement=placement,
+            requested=doc["requested"],
+            realized=doc["realized"],
+            lost=doc["lost"],
+            admitted_pairs={tuple(p) for p in doc["admitted_pairs"]},
+            lost_pairs={tuple(p) for p in doc["lost_pairs"]},
+            lane_utilization={
+                (tuple(u), tuple(v)): n for u, v, n in doc["lane_utilization"]
+            },
+            seed=doc["seed"],
+            spec_hash=doc["spec_hash"],
+            topology_hash=doc["topology_hash"],
+        )
+    except (ValueError, KeyError, TypeError) as exc:
+        raise WafersimError(f"corrupt mapping file {path}: {exc!r}") from None

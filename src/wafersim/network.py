@@ -429,32 +429,17 @@ def in_degree_stats(spec: NetworkSpec, include_stimuli: bool = True) -> InDegree
     occupy hardware synapse rows); per-neuron Poisson stimuli are injected
     off-wafer and excluded.
     """
-    if not spec.is_sampled():
-        raise NotSampledError("in_degree_stats requires sampled connectivity")
-    counts = {p.pid: np.zeros(p.size, dtype=np.int64) for p in spec.populations}
-    for pr in spec.projections:
-        e = spec.edges[pr.pid]
-        if len(e):
-            counts[pr.target] += np.bincount(
-                e.tgt, minlength=spec.population(pr.target).size
-            )
-    if include_stimuli:
-        for st in spec.stimuli:
-            e = spec.stim_edges.get(st.sid)
-            if e is not None and len(e):
-                counts[st.target] += np.bincount(
-                    e.tgt, minlength=spec.population(st.target).size
-                )
+    counts = in_degree_array(spec, include_stimuli)
+    offsets = spec.population_offsets()
     per_pop = {}
-    total = 0
-    for pid, c in counts.items():
-        per_pop[pid] = {
+    for p in spec.populations:
+        c = counts[offsets[p.pid]:offsets[p.pid] + p.size]
+        per_pop[p.pid] = {
             "mean": float(c.mean()) if len(c) else 0.0,
             "max": int(c.max()) if len(c) else 0,
             "total_synapses": int(c.sum()),
         }
-        total += int(c.sum())
-    return InDegreeStats(per_pop, total)
+    return InDegreeStats(per_pop, int(counts.sum()))
 
 
 def in_degree_array(spec: NetworkSpec, include_stimuli: bool = True) -> np.ndarray:
@@ -519,25 +504,22 @@ def spec_to_dict(spec: NetworkSpec, inline_edges: bool = True) -> dict:
         ],
     }
     if inline_edges:
-        doc["edges"] = {
-            pid: {
-                "src": e.src.tolist(),
-                "tgt": e.tgt.tolist(),
-                "weight": e.weight.tolist(),
-                "delay": e.delay.tolist(),
-            }
-            for pid, e in spec.edges.items()
-        }
-        doc["stim_edges"] = {
-            sid: {
-                "src": e.src.tolist(),
-                "tgt": e.tgt.tolist(),
-                "weight": e.weight.tolist(),
-                "delay": e.delay.tolist(),
-            }
-            for sid, e in spec.stim_edges.items()
-        }
+        for section, table in (("edges", spec.edges),
+                               ("stim_edges", spec.stim_edges)):
+            doc[section] = {key: _edges_to_dict(e) for key, e in table.items()}
     return doc
+
+
+def _edges_to_dict(e: EdgeList) -> dict:
+    return {"src": e.src.tolist(), "tgt": e.tgt.tolist(),
+            "weight": e.weight.tolist(), "delay": e.delay.tolist()}
+
+
+def _edges_from_dict(d: dict) -> EdgeList:
+    return EdgeList.from_arrays(
+        np.asarray(d["src"], np.uint32), np.asarray(d["tgt"], np.uint32),
+        np.asarray(d["weight"], np.float64), np.asarray(d["delay"], np.float64),
+    )
 
 
 def _connector_to_dict(c: Connector) -> dict:
@@ -589,16 +571,9 @@ def spec_from_dict(doc: dict) -> NetworkSpec:
         stims.append(StimulusSpec(**st))
     spec = NetworkSpec(populations=pops, projections=projs, stimuli=stims,
                        seed=doc.get("seed", 0))
-    for pid, e in doc.get("edges", {}).items():
-        spec.edges[pid] = EdgeList.from_arrays(
-            np.asarray(e["src"], np.uint32), np.asarray(e["tgt"], np.uint32),
-            np.asarray(e["weight"], np.float64), np.asarray(e["delay"], np.float64),
-        )
-    for sid, e in doc.get("stim_edges", {}).items():
-        spec.stim_edges[sid] = EdgeList.from_arrays(
-            np.asarray(e["src"], np.uint32), np.asarray(e["tgt"], np.uint32),
-            np.asarray(e["weight"], np.float64), np.asarray(e["delay"], np.float64),
-        )
+    for section, table in (("edges", spec.edges), ("stim_edges", spec.stim_edges)):
+        for key, e in doc.get(section, {}).items():
+            table[key] = _edges_from_dict(e)
     return spec
 
 
@@ -632,29 +607,36 @@ def save_spec(spec: NetworkSpec, path: Union[str, Path],
 
 
 def load_spec(path: Union[str, Path]) -> NetworkSpec:
+    """Read a spec written by ``save_spec``.  A document that is not valid
+    JSON, lacks a field or holds a value of the wrong type raises
+    ``WafersimError``, as does a sidecar that does not match its index."""
     path = Path(path)
-    doc = json.loads(path.read_text())
-    spec = spec_from_dict(doc)
-    sc = doc.get("edge_sidecar")
-    if sc:
-        blob = (path.parent / sc["file"]).read_bytes()
-        if blob[:4] != _SIDECAR_MAGIC:
-            raise WafersimError("corrupt edge sidecar")
-        end = len(_SIDECAR_MAGIC)
-        for section, table in (("edges", spec.edges), ("stim_edges", spec.stim_edges)):
-            for key, entry in sc["index"][section].items():
-                start = entry["offset"]
-                stop = start + 16 * entry["count"]
-                if not len(_SIDECAR_MAGIC) <= start <= stop <= len(blob):
-                    raise WafersimError(
-                        f"edge sidecar {sc['file']} is {len(blob)} bytes; "
-                        f"{section}/{key} needs bytes {start}-{stop}")
-                table[key] = EdgeList.from_bytes(blob[start:stop])
-                end = max(end, stop)
-        if end != len(blob):
-            raise WafersimError(
-                f"edge sidecar {sc['file']} is {len(blob)} bytes; "
-                f"its index ends at byte {end}")
+    try:
+        doc = json.loads(path.read_text())
+        spec = spec_from_dict(doc)
+        sc = doc.get("edge_sidecar")
+        if sc:
+            blob = (path.parent / sc["file"]).read_bytes()
+            if blob[:4] != _SIDECAR_MAGIC:
+                raise WafersimError("corrupt edge sidecar")
+            end = len(_SIDECAR_MAGIC)
+            for section, table in (("edges", spec.edges),
+                                   ("stim_edges", spec.stim_edges)):
+                for key, entry in sc["index"][section].items():
+                    start = entry["offset"]
+                    stop = start + 16 * entry["count"]
+                    if not len(_SIDECAR_MAGIC) <= start <= stop <= len(blob):
+                        raise WafersimError(
+                            f"edge sidecar {sc['file']} is {len(blob)} bytes; "
+                            f"{section}/{key} needs bytes {start}-{stop}")
+                    table[key] = EdgeList.from_bytes(blob[start:stop])
+                    end = max(end, stop)
+            if end != len(blob):
+                raise WafersimError(
+                    f"edge sidecar {sc['file']} is {len(blob)} bytes; "
+                    f"its index ends at byte {end}")
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise WafersimError(f"corrupt network spec {path}: {exc!r}") from None
     return spec
 
 

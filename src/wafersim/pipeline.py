@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
-from .adaptation import AdaptationConfig, adapt_pipeline
+from .adaptation import AdaptationConfig, AdaptationReport, adapt_pipeline
 from .analysis import (
     RegimeThresholds,
     classify_regime,
@@ -26,12 +26,20 @@ from .bench import throughput_metrics
 from .engine import (
     SimulationConfig,
     SpikeRecord,
+    save_membrane_csv,
     save_spikes_binary,
     save_spikes_csv,
     simulate,
 )
 from .hardware import CapacityError, WaferTopology, capacity_report
-from .mapping import apply_loss, load_mapping, map_network, mapping_report, save_mapping
+from .mapping import (
+    MappingResult,
+    apply_loss,
+    load_mapping,
+    map_network,
+    mapping_report,
+    save_mapping,
+)
 from .models import (
     BrunelParams,
     MicrocircuitParams,
@@ -39,6 +47,7 @@ from .models import (
     build_microcircuit,
 )
 from .network import (
+    NetworkSpec,
     NeuronParameters,
     WafersimError,
     ensure_sampled,
@@ -189,8 +198,74 @@ def write_analysis(record: SpikeRecord, analysis_cfg: dict, out_dir: Path,
                      "analysis": out_dir / "analysis.json"}
 
 
+def adapt_stage(spec: NetworkSpec, adapt_cfg: AdaptationConfig, out_dir: Path
+                ) -> tuple[NetworkSpec, AdaptationReport, dict]:
+    """The adapt stage: adapt and sample ``spec``, then write ``adapted.json``
+    and ``adaptation_report.json``/``.txt`` into ``out_dir``.  Returns the
+    adapted spec, the report and the written artifacts by name."""
+    adapted, report = adapt_pipeline(spec, adapt_cfg)
+    ensure_sampled(adapted)
+    artifacts = {"adapted": save_spec(adapted, out_dir / "adapted.json"),
+                 "adaptation_report": out_dir / "adaptation_report.json"}
+    artifacts["adaptation_report"].write_text(
+        json.dumps(report.to_dict(), indent=2))
+    (out_dir / "adaptation_report.txt").write_text(report.render_text())
+    return adapted, report, artifacts
+
+
+def map_stage(spec: NetworkSpec, topology: WaferTopology, seed: int,
+              out_dir: Path) -> tuple[NetworkSpec, MappingResult, bool, dict]:
+    """The map stage: check capacity, place and route ``spec`` and remove
+    the lost synapses.  Writes ``capacity_report.json`` (raising
+    ``CapacityError`` if the network does not fit), the cache entry
+    ``mapping_<structure hash>_<topology hash>.json`` (reused if it loads,
+    remapped and overwritten if not), ``mapping_report.json`` and
+    ``mapped.json``.  Returns the mapped spec, the mapping, whether it came
+    from the cache, and the written artifacts by name."""
+    cap = capacity_report(topology, spec)
+    artifacts = {"capacity_report": out_dir / "capacity_report.json"}
+    artifacts["capacity_report"].write_text(json.dumps(cap.to_dict(), indent=2))
+    if not cap.feasible:
+        raise CapacityError(
+            "network does not fit the wafer: " + "; ".join(cap.notes))
+    cache_key = f"{mapping_relevant_hash(spec)}_{topology.content_hash()}"
+    cache_path = out_dir / f"mapping_{cache_key}.json"
+    result = None
+    if cache_path.exists():
+        try:
+            result = load_mapping(cache_path)
+        except WafersimError:
+            pass  # an entry that does not load is a miss: remap
+    cached = result is not None
+    if not cached:
+        result = map_network(spec, topology, seed=seed)
+        save_mapping(result, cache_path)
+    artifacts["mapping"] = cache_path
+    artifacts["mapping_report"] = out_dir / "mapping_report.json"
+    artifacts["mapping_report"].write_text(
+        json.dumps(mapping_report(result, topology), indent=2))
+    mapped = apply_loss(spec, result)
+    artifacts["mapped_spec"] = save_spec(mapped, out_dir / "mapped.json")
+    return mapped, result, cached, artifacts
+
+
+def simulate_stage(spec: NetworkSpec, sim_cfg: SimulationConfig, out_dir: Path
+                   ) -> tuple[SpikeRecord, dict]:
+    """The simulate stage: simulate ``spec`` and write ``spikes.csv``,
+    ``spikes.bin`` and, when the config sets probes, ``membrane.csv``.
+    Returns the spike record and the written artifacts by name."""
+    record = simulate(spec, sim_cfg)
+    artifacts = {
+        "spikes_csv": save_spikes_csv(record, out_dir / "spikes.csv"),
+        "spikes_bin": save_spikes_binary(record, out_dir / "spikes.bin"),
+    }
+    if record.probes:
+        artifacts["membrane"] = save_membrane_csv(record, out_dir / "membrane.csv")
+    return record, artifacts
+
+
 def run_pipeline(config: Union[PipelineConfig, str, Path, dict],
-                 out_dir: Union[str, Path], threads: int = 1) -> PipelineResult:
+                 out_dir: Union[str, Path]) -> PipelineResult:
     """Execute all stages, writing intermediate files; idempotent reruns
     reuse the cached mapping when structure and topology hashes match."""
     if isinstance(config, (str, Path)):
@@ -201,7 +276,6 @@ def run_pipeline(config: Union[PipelineConfig, str, Path, dict],
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = {}
 
-    # build
     try:
         spec = build_model(config.model, config.seed)
     except Exception as exc:
@@ -211,65 +285,31 @@ def run_pipeline(config: Union[PipelineConfig, str, Path, dict],
         raise ValidationFailure("; ".join(report.findings))
     artifacts["spec"] = save_spec(spec, out_dir / "spec.json")
 
-    # adapt
     try:
-        adapt_cfg = AdaptationConfig.from_dict(
-            {"seed": config.seed, **config.adaptation})
-        adapted, adapt_report = adapt_pipeline(spec, adapt_cfg)
-        ensure_sampled(adapted)
+        adapted, _, paths = adapt_stage(spec, AdaptationConfig.from_dict(
+            {"seed": config.seed, **config.adaptation}), out_dir)
     except Exception as exc:
         raise StageFailure("adapt", exc)
-    artifacts["adapted"] = save_spec(adapted, out_dir / "adapted.json")
-    (out_dir / "adaptation_report.json").write_text(
-        json.dumps(adapt_report.to_dict(), indent=2))
-    (out_dir / "adaptation_report.txt").write_text(adapt_report.render_text())
-    artifacts["adaptation_report"] = out_dir / "adaptation_report.json"
+    artifacts.update(paths)
 
-    # map (cached by structure + topology hash)
     mapping_cached = False
     run_spec = adapted
     if config.topology is not None:
         try:
-            topology = WaferTopology.from_dict(config.topology)
-            cap = capacity_report(topology, adapted)
-            (out_dir / "capacity_report.json").write_text(
-                json.dumps(cap.to_dict(), indent=2))
-            if not cap.feasible:
-                raise CapacityError(
-                    "network does not fit the wafer: " + "; ".join(cap.notes))
-            cache_key = f"{mapping_relevant_hash(adapted)}_{topology.content_hash()}"
-            cache_path = out_dir / f"mapping_{cache_key}.json"
-            result = None
-            if cache_path.exists():
-                try:
-                    result = load_mapping(cache_path)
-                    mapping_cached = True
-                except (ValueError, KeyError, TypeError):
-                    pass  # an entry that does not load is a miss: remap
-            if result is None:
-                result = map_network(adapted, topology, seed=config.seed)
-                save_mapping(result, cache_path)
-            artifacts["mapping"] = cache_path
-            (out_dir / "mapping_report.json").write_text(
-                json.dumps(mapping_report(result, topology), indent=2))
-            artifacts["mapping_report"] = out_dir / "mapping_report.json"
-            run_spec = apply_loss(adapted, result)
-            artifacts["mapped_spec"] = save_spec(run_spec, out_dir / "mapped.json")
-        except StageFailure:
-            raise
+            run_spec, _, mapping_cached, paths = map_stage(
+                adapted, WaferTopology.from_dict(config.topology), config.seed,
+                out_dir)
         except Exception as exc:
             raise StageFailure("map", exc)
+        artifacts.update(paths)
 
-    # simulate
     try:
-        sim_cfg = SimulationConfig(**{"seed": config.seed, **config.simulation})
-        record = simulate(run_spec, sim_cfg)
+        record, paths = simulate_stage(run_spec, SimulationConfig(
+            **{"seed": config.seed, **config.simulation}), out_dir)
     except Exception as exc:
         raise StageFailure("simulate", exc)
-    artifacts["spikes_csv"] = save_spikes_csv(record, out_dir / "spikes.csv")
-    artifacts["spikes_bin"] = save_spikes_binary(record, out_dir / "spikes.bin")
+    artifacts.update(paths)
 
-    # analyze
     try:
         artifacts.update(write_analysis(record, config.analysis, out_dir)[1])
     except Exception as exc:

@@ -4,8 +4,11 @@ The dense-time oracles integrate the subthreshold LIF equations directly
 with a 1 us Euler step, sharing no code with the engine or the analytic PSP
 formulas.  The analysis oracles compute CV of ISI and the synchrony index
 the direct way (one mask per neuron, a dense neurons x bins matrix), sharing
-no code with ``wafersim.analysis``.
+no code with ``wafersim.analysis``.  The placement oracle packs neuron by
+neuron, sharing no code with ``wafersim.hardware`` or ``wafersim.mapping``.
 """
+
+import math
 
 import numpy as np
 
@@ -90,3 +93,29 @@ def synchrony_dense(times, ids, neurons, n_neurons, window, bin_ms):
     if single_var == 0:
         return 0.0
     return float(counts.sum(axis=0).var() / (len(neurons) * single_var))
+
+
+def next_fit_placement(fan_ins, population_sizes, fanin_per_circuit,
+                       circuits_per_asic):
+    """Place neuron by neuron: a neuron merges ceil(fan-in / fan-in per
+    circuit) circuits (at least one); each population opens a fresh ASIC,
+    and a neuron whose circuits do not fit in what is left of the current
+    ASIC opens the next one.  Returns the circuits and the ASIC of each
+    neuron, the used circuits per opened ASIC and the ASICs per population."""
+    circuits = [max(1, math.ceil(d / fanin_per_circuit)) for d in fan_ins]
+    neuron_asic, used, per_population = [], [], []
+    start = 0
+    for size in population_sizes:
+        free = 0
+        asics = []
+        for m in circuits[start:start + size]:
+            if m > free:
+                used.append(0)
+                asics.append(len(used) - 1)
+                free = circuits_per_asic
+            neuron_asic.append(len(used) - 1)
+            used[-1] += m
+            free -= m
+        per_population.append(asics)
+        start += size
+    return circuits, neuron_asic, used, per_population

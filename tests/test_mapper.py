@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from oracles import next_fit_placement
 from wafersim.hardware import WaferTopology
 from wafersim.mapping import (
     MappingMismatchError,
@@ -24,7 +25,9 @@ from wafersim.network import (
     Projection,
     Sign,
     SynapseKind,
+    WafersimError,
     ensure_sampled,
+    in_degree_array,
     spec_content_hash,
 )
 from wafersim.rngtools import stream
@@ -86,6 +89,27 @@ class TestPlacement:
             except PlacementOverflowError:
                 continue
             assert np.all(placement.asic_used <= topo.circuits_per_asic)
+
+    def test_matches_next_fit_oracle(self):
+        rng = stream("test", "next_fit", 0)
+        checked = 0
+        while checked < 30:
+            spec = random_spec(rng)
+            topo = small_topology(rng)
+            try:
+                placement = place(spec, topo)
+            except PlacementOverflowError:
+                continue
+            circuits, asic, used, per_population = next_fit_placement(
+                in_degree_array(spec).tolist(),
+                [p.size for p in spec.populations],
+                topo.fanin_per_circuit, topo.circuits_per_asic)
+            assert placement.neuron_circuits.tolist() == circuits
+            assert placement.neuron_asic.tolist() == asic
+            assert placement.asic_used.tolist() == \
+                used + [0] * (topo.n_asics - len(used))
+            assert list(placement.population_asics.values()) == per_population
+            checked += 1
 
     def test_overflow_errors(self):
         spec = ensure_sampled(build_brunel(BrunelParams(n_total=500), seed=2))
@@ -216,3 +240,11 @@ class TestReportAndSerialization:
         pruned_a = apply_loss(spec, result)
         pruned_b = apply_loss(spec, again)
         assert spec_content_hash(pruned_a) == spec_content_hash(pruned_b)
+
+    def test_truncated_file_raises_wafersim_error(self, tmp_path):
+        spec = ensure_sampled(build_brunel(BrunelParams(n_total=400), seed=3))
+        path = save_mapping(map_network(spec, WaferTopology()),
+                            tmp_path / "m.json")
+        path.write_text(path.read_text()[:100])
+        with pytest.raises(WafersimError, match="corrupt mapping"):
+            load_mapping(path)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -206,6 +208,17 @@ class TestSerialization:
         assert len(raw) > 16_000
         sidecar.write_bytes(change(raw))
         with pytest.raises(WafersimError, match="edge sidecar"):
+            load_spec(path)
+
+    @pytest.mark.parametrize("change", [
+        lambda text: text[:len(text) // 2],
+        lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                                 if k != "populations"})])
+    def test_corrupt_document_raises_wafersim_error(self, tmp_path, change):
+        path = save_spec(ensure_sampled(two_pop_spec(seed=5)),
+                         tmp_path / "net.json")
+        path.write_text(change(path.read_text()))
+        with pytest.raises(WafersimError, match="corrupt network spec"):
             load_spec(path)
 
     def test_edge_list_bytes_roundtrip(self):
