@@ -99,7 +99,7 @@ def cmd_map(args) -> int:
     spec = ensure_sampled(load_spec(args.spec))
     cfg = _load_config(args)
     topology = WaferTopology.from_dict(cfg.get("topology", cfg))
-    _, result, cached, _ = map_stage(spec, topology, args.seed, _out_dir(args))
+    _, result, cached, _ = map_stage(spec, topology, _out_dir(args))
     realized = sum(result.realized.values())
     print(f"mapped: {realized} of {result.total_requested()} synapses "
           f"realized (loss {result.loss_fraction():.4f})"

@@ -60,7 +60,6 @@ class MappingResult:
     admitted_pairs: set  # (src ASIC, tgt ASIC) pairs with a routed lane path
     lost_pairs: set
     lane_utilization: dict  # grid edge ((r,c),(r,c)) -> lanes used
-    seed: int
     spec_hash: str
     topology_hash: str
 
@@ -130,8 +129,8 @@ def _norm_edge(u, v):
     return (u, v) if u <= v else (v, u)
 
 
-def route(spec: NetworkSpec, placement: Placement, topology: WaferTopology,
-          seed: int = 0) -> MappingResult:
+def route(spec: NetworkSpec, placement: Placement, topology: WaferTopology
+          ) -> MappingResult:
     """Allocate shared (source ASIC -> target ASIC) routes and account loss."""
     ensure_sampled(spec)
     offsets = spec.population_offsets()
@@ -185,16 +184,14 @@ def route(spec: NetworkSpec, placement: Placement, topology: WaferTopology,
         admitted_pairs=admitted,
         lost_pairs=lost_pairs,
         lane_utilization=utilization,
-        seed=seed,
         spec_hash=mapping_relevant_hash(spec),
         topology_hash=topology.content_hash(),
     )
 
 
-def map_network(spec: NetworkSpec, topology: WaferTopology, seed: int = 0
-                ) -> MappingResult:
+def map_network(spec: NetworkSpec, topology: WaferTopology) -> MappingResult:
     """place + route in one call."""
-    return route(spec, place(spec, topology), topology, seed)
+    return route(spec, place(spec, topology), topology)
 
 
 def apply_loss(spec: NetworkSpec, result: MappingResult) -> NetworkSpec:
@@ -256,7 +253,6 @@ def mapping_report(result: MappingResult, topology: Optional[WaferTopology] = No
         "loss_fraction": result.loss_fraction(),
         "spec_hash": result.spec_hash,
         "topology_hash": result.topology_hash,
-        "seed": result.seed,
     }
 
 
@@ -280,7 +276,6 @@ def save_mapping(result: MappingResult, path: Union[str, Path]) -> Path:
         "lane_utilization": [
             [list(u), list(v), n] for (u, v), n in sorted(result.lane_utilization.items())
         ],
-        "seed": result.seed,
         "spec_hash": result.spec_hash,
         "topology_hash": result.topology_hash,
     }
@@ -298,7 +293,8 @@ def save_mapping(result: MappingResult, path: Union[str, Path]) -> Path:
 def load_mapping(path: Union[str, Path]) -> MappingResult:
     """Read a mapping written by ``save_mapping``; a file that is not valid
     JSON or lacks a field raises ``WafersimError`` (a missing or unreadable
-    file raises ``OSError``)."""
+    file raises ``OSError``).  Keys it does not read, such as the ``seed``
+    that older entries hold, are ignored."""
     try:
         doc = json.loads(Path(path).read_text())
         pl = doc["placement"]
@@ -318,7 +314,6 @@ def load_mapping(path: Union[str, Path]) -> MappingResult:
             lane_utilization={
                 (tuple(u), tuple(v)): n for u, v, n in doc["lane_utilization"]
             },
-            seed=doc["seed"],
             spec_hash=doc["spec_hash"],
             topology_hash=doc["topology_hash"],
         )

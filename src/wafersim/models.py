@@ -154,11 +154,6 @@ class MicrocircuitParams:
             raise ValueError("scale must be > 0")
 
 
-def microcircuit_scale_for_total(target_total: int, data: Optional[dict] = None) -> float:
-    data = data or load_microcircuit_data()
-    return target_total / sum(data["sizes"])
-
-
 def build_microcircuit(params: MicrocircuitParams, seed: int = 0) -> NetworkSpec:
     """Eight populations with the bundled 8x8 probability map.
 

@@ -247,10 +247,6 @@ class NetworkSpec:
     def synapse_kinds(self) -> set[SynapseKind]:
         return {pr.kind for pr in self.projections}
 
-    def is_hardware_ready(self) -> bool:
-        kinds = self.synapse_kinds()
-        return not kinds or kinds == {SynapseKind.CONDUCTANCE_EXP}
-
     def expected_edge_count(self, proj: Projection) -> float:
         """Expected edge count without sampling (exact for sampled/explicit)."""
         if proj.pid in self.edges:
@@ -414,32 +410,6 @@ def ensure_sampled(spec: NetworkSpec) -> NetworkSpec:
 
 
 # --- in-degree statistics ---------------------------------------------------
-
-
-@dataclass
-class InDegreeStats:
-    per_population: dict[str, dict[str, float]]
-    total_synapses: int
-
-
-def in_degree_stats(spec: NetworkSpec, include_stimuli: bool = True) -> InDegreeStats:
-    """Per-population {mean, max, total_synapses} of afferent edge counts.
-
-    Counts explicit internal edges plus sampled pool-stimulus edges (both
-    occupy hardware synapse rows); per-neuron Poisson stimuli are injected
-    off-wafer and excluded.
-    """
-    counts = in_degree_array(spec, include_stimuli)
-    offsets = spec.population_offsets()
-    per_pop = {}
-    for p in spec.populations:
-        c = counts[offsets[p.pid]:offsets[p.pid] + p.size]
-        per_pop[p.pid] = {
-            "mean": float(c.mean()) if len(c) else 0.0,
-            "max": int(c.max()) if len(c) else 0,
-            "total_synapses": int(c.sum()),
-        }
-    return InDegreeStats(per_pop, int(counts.sum()))
 
 
 def in_degree_array(spec: NetworkSpec, include_stimuli: bool = True) -> np.ndarray:

@@ -213,8 +213,8 @@ def adapt_stage(spec: NetworkSpec, adapt_cfg: AdaptationConfig, out_dir: Path
     return adapted, report, artifacts
 
 
-def map_stage(spec: NetworkSpec, topology: WaferTopology, seed: int,
-              out_dir: Path) -> tuple[NetworkSpec, MappingResult, bool, dict]:
+def map_stage(spec: NetworkSpec, topology: WaferTopology, out_dir: Path
+              ) -> tuple[NetworkSpec, MappingResult, bool, dict]:
     """The map stage: check capacity, place and route ``spec`` and remove
     the lost synapses.  Writes ``capacity_report.json`` (raising
     ``CapacityError`` if the network does not fit), the cache entry
@@ -238,7 +238,7 @@ def map_stage(spec: NetworkSpec, topology: WaferTopology, seed: int,
             pass  # an entry that does not load is a miss: remap
     cached = result is not None
     if not cached:
-        result = map_network(spec, topology, seed=seed)
+        result = map_network(spec, topology)
         save_mapping(result, cache_path)
     artifacts["mapping"] = cache_path
     artifacts["mapping_report"] = out_dir / "mapping_report.json"
@@ -297,8 +297,7 @@ def run_pipeline(config: Union[PipelineConfig, str, Path, dict],
     if config.topology is not None:
         try:
             run_spec, _, mapping_cached, paths = map_stage(
-                adapted, WaferTopology.from_dict(config.topology), config.seed,
-                out_dir)
+                adapted, WaferTopology.from_dict(config.topology), out_dir)
         except Exception as exc:
             raise StageFailure("map", exc)
         artifacts.update(paths)

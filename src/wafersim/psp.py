@@ -29,10 +29,3 @@ def psp_peak_current(weight: float, tau_m: float, tau_syn: float, c_m: float) ->
     exponential synapse of peak amplitude ``weight`` (nA)."""
     r_m = tau_m / c_m  # MOhm
     return r_m * weight * psp_shape_factor(tau_m, tau_syn)
-
-
-def psp_peak_conductance_linear(weight: float, e_rev: float, v_hold: float,
-                                tau_m: float, tau_syn: float, c_m: float) -> float:
-    """Linearized peak deflection (mV) for a conductance synapse of peak
-    ``weight`` (uS) with the driving force frozen at ``v_hold``."""
-    return psp_peak_current(weight * (e_rev - v_hold), tau_m, tau_syn, c_m)

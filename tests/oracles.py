@@ -6,11 +6,21 @@ formulas.  The analysis oracles compute CV of ISI and the synchrony index
 the direct way (one mask per neuron, a dense neurons x bins matrix), sharing
 no code with ``wafersim.analysis``.  The placement oracle packs neuron by
 neuron, sharing no code with ``wafersim.hardware`` or ``wafersim.mapping``.
+The CSV oracles are the ``%``-formatting writers that the vectorised ones
+replaced.  The last helpers are small derived quantities that only tests
+use.
 """
 
+import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from wafersim.engine import _record_header
+from wafersim.models import load_microcircuit_data
+from wafersim.network import SynapseKind, in_degree_array
+from wafersim.psp import psp_peak_current
 
 
 def dense_psp_peak_current(weight, tau_m, tau_syn, c_m,
@@ -119,3 +129,68 @@ def next_fit_placement(fan_ins, population_sizes, fanin_per_circuit,
         per_population.append(asics)
         start += size
     return circuits, neuron_asic, used, per_population
+
+
+def save_spikes_csv(record, path):
+    """The spike CSV with each spike formatted by ``"%.6f,%d"``."""
+    lines = [f"# {k}={json.dumps(v)}"
+             for k, v in sorted(_record_header(record).items())]
+    lines.append("time_ms,neuron_id")
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+        rows = zip(record.times.tolist(), record.ids.tolist())
+        f.write("".join(map("%.6f,%d\n".__mod__, rows)))
+    return path
+
+
+def save_membrane_csv(record, path):
+    """The membrane CSV with each probe time and value formatted by
+    ``"%.6f"``."""
+    ids = sorted(record.probes)
+    lines = ["time_ms," + ",".join(f"v_{i}" for i in ids)]
+    row = "%.6f," + ",".join(["%.6f"] * len(ids))
+    columns = [record.probe_times.tolist()] + \
+        [record.probes[i].tolist() for i in ids]
+    lines += map(row.__mod__, zip(*columns))
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+    return path
+
+
+def is_hardware_ready(spec) -> bool:
+    """True when every projection is conductance-based, as on the wafer."""
+    kinds = spec.synapse_kinds()
+    return not kinds or kinds == {SynapseKind.CONDUCTANCE_EXP}
+
+
+@dataclass
+class InDegreeStats:
+    per_population: dict
+    total_synapses: int
+
+
+def in_degree_stats(spec, include_stimuli=True) -> InDegreeStats:
+    """Per-population {mean, max, total_synapses} of afferent edge counts."""
+    counts = in_degree_array(spec, include_stimuli)
+    offsets = spec.population_offsets()
+    per_pop = {}
+    for p in spec.populations:
+        c = counts[offsets[p.pid]:offsets[p.pid] + p.size]
+        per_pop[p.pid] = {
+            "mean": float(c.mean()) if len(c) else 0.0,
+            "max": int(c.max()) if len(c) else 0,
+            "total_synapses": int(c.sum()),
+        }
+    return InDegreeStats(per_pop, int(counts.sum()))
+
+
+def microcircuit_scale_for_total(target_total, data=None) -> float:
+    """The microcircuit scale that gives about ``target_total`` neurons."""
+    data = data or load_microcircuit_data()
+    return target_total / sum(data["sizes"])
+
+
+def psp_peak_conductance_linear(weight, e_rev, v_hold, tau_m, tau_syn, c_m):
+    """Linearized peak deflection (mV) for a conductance synapse of peak
+    ``weight`` (uS) with the driving force frozen at ``v_hold``."""
+    return psp_peak_current(weight * (e_rev - v_hold), tau_m, tau_syn, c_m)

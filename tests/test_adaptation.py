@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wafersim.adaptation as adaptation
-from oracles import dense_psp_peak_conductance, dense_psp_peak_current
+from oracles import (
+    dense_psp_peak_conductance,
+    dense_psp_peak_current,
+    is_hardware_ready,
+    psp_peak_conductance_linear,
+)
 from wafersim.adaptation import (
     AdaptationConfig,
     AdaptationReport,
@@ -30,7 +35,6 @@ from wafersim.network import (
     spec_content_hash,
 )
 from wafersim.psp import (
-    psp_peak_conductance_linear,
     psp_peak_current,
     psp_shape_factor,
 )
@@ -306,7 +310,7 @@ class TestPipeline:
             "convert_current_to_conductance", "clamp_time_constants",
             "apply_parameter_variation",
         ]
-        assert adapted.is_hardware_ready()
+        assert is_hardware_ready(adapted)
 
     def test_report_chain_enforced(self):
         report = AdaptationReport()

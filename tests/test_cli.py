@@ -80,6 +80,19 @@ class TestStageCommands:
         assert summary["window"] == [290.0, 300.0]
         assert "regime" not in summary and "synchrony" not in summary
 
+    def test_map_seed_does_not_change_the_mapping(self, built, capsys):
+        assert main(["adapt", str(built / "spec.json"),
+                     "--out-dir", str(built)]) == EXIT_OK
+        adapted = str(built / "adapted.json")
+        assert main(["map", adapted, "--out-dir", str(built),
+                     "--seed", "1"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["map", adapted, "--out-dir", str(built),
+                     "--seed", "2"]) == EXIT_OK
+        assert "[cached mapping]" in capsys.readouterr().out
+        report = json.loads((built / "mapping_report.json").read_text())
+        assert "seed" not in report
+
     def test_map_capacity_failure_exit_3(self, built, tmp_path):
         spec = str(built / "spec.json")
         assert main(["adapt", spec, "--out-dir", str(built)]) == EXIT_OK

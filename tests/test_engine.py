@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from oracles import dense_psp_peak_conductance, lif_constant_current_rate
 from wafersim import engine
 from wafersim.engine import (
@@ -548,6 +551,144 @@ class TestSerialization:
         p.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(WafersimError):
             load_spikes_binary(p)
+
+
+UINT32_MAX = int(np.iinfo(np.uint32).max)
+ids_strategy = st.integers(0, UINT32_MAX)
+
+
+def csv_record(times=(), ids=None, probe_times=None, probes=None):
+    times = np.asarray(times, dtype=np.float64)
+    return SpikeRecord(
+        times=times,
+        ids=(np.zeros(len(times), np.uint32) if ids is None
+             else np.asarray(ids, np.uint32)),
+        n_neurons=1, duration=1000.0, dt=0.1, deliveries=0, wall_time=0.0,
+        population_slices={"n": (0, 1)},
+        probe_times=None if probe_times is None
+        else np.asarray(probe_times, np.float64),
+        probes={} if probes is None
+        else {pid: np.asarray(v, np.float64) for pid, v in probes.items()})
+
+
+def write_both(record, out_dir, chunk, membrane=False):
+    """(new bytes, old bytes, indices of the rows written by ``%``) of the
+    spike CSV, or the membrane CSV, with ``chunk`` rows per write."""
+    new_writer = save_membrane_csv if membrane else save_spikes_csv
+    old_writer = (oracles.save_membrane_csv if membrane
+                  else oracles.save_spikes_csv)
+    slow = []
+    format_row = engine._format_row
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_CSV_CHUNK", chunk)
+        mp.setattr(engine, "_format_row",
+                   lambda fmt, cols, i: slow.append(i) or format_row(fmt, cols, i))
+        new = new_writer(record, out_dir / "new.csv").read_bytes()
+    old = old_writer(record, out_dir / "old.csv").read_bytes()
+    return new, old, slow
+
+
+CHUNKS = [1, 7, engine._CSV_CHUNK]
+# decimal ties at the 7th decimal: a decimal string, so the float is the
+# double nearest the tie, above or below it
+ties = st.integers(0, 10**12).map(
+    lambda k: float(f"{k // 10**6}.{k % 10**6:06d}5"))
+
+
+class TestCsvFormatter:
+    """The vectorised CSV writers against the ``%`` writers they replaced,
+    byte for byte."""
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("dt", [0.1, 0.025, 1 / 3])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_grid_times_take_no_slow_row(self, tmp_path_factory, dt, chunk,
+                                         data):
+        steps = data.draw(st.lists(st.integers(0, int(1e6 / dt)),
+                                   max_size=60))
+        ids = data.draw(st.lists(ids_strategy, min_size=len(steps),
+                                 max_size=len(steps)))
+        times = np.sort(np.asarray(steps, np.int64)) * dt
+        record = csv_record(times, ids)
+        new, old, slow = write_both(record, tmp_path_factory.mktemp("g"),
+                                    chunk)
+        assert new == old
+        assert slow == []
+
+    def test_ids_at_both_ends(self, tmp_path):
+        record = csv_record([0.1, 0.2, 1e6], [0, UINT32_MAX, 9])
+        new, old, slow = write_both(record, tmp_path, engine._CSV_CHUNK)
+        assert new == old and slow == []
+        assert new.endswith(b"0.100000,0\n0.200000,4294967295\n"
+                            b"1000000.000000,9\n")
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @settings(max_examples=60, deadline=None)
+    @given(times=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                          max_size=40),
+           data=st.data())
+    @example(times=[0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.7976931348623157e308,
+                    -1e-9, 2.0**40 / 1e6, 2.0**52 / 1e6, -2.0**53 / 1e6],
+             data=None)
+    def test_any_finite_spike_times(self, tmp_path_factory, chunk, times,
+                                    data):
+        ids = [] if data is None else data.draw(st.lists(
+            ids_strategy, min_size=len(times), max_size=len(times)))
+        record = csv_record(times, ids or None)
+        new, old, _ = write_both(record, tmp_path_factory.mktemp("f"), chunk)
+        assert new == old
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(ties, min_size=1, max_size=30), sign=st.booleans())
+    @example(values=[5e-7, 2.5e-7, 0.0000025, 0.0000035, 1.0000005,
+                     0.1234565, 99999.9999995], sign=False)
+    @example(values=[0.0078125, 2.0**40 / 1e6 + 0.5e-6, 2.0**52 / 1e6,
+                     np.nextafter(2.0**52 / 1e6, 0)], sign=True)
+    def test_decimal_ties_and_large_values(self, tmp_path_factory, chunk,
+                                           values, sign):
+        values = -np.asarray(values) if sign else np.asarray(values)
+        new, old, _ = write_both(csv_record(values),
+                                 tmp_path_factory.mktemp("t"), chunk)
+        assert new == old
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n_probes=st.integers(0, 3))
+    def test_membrane_any_float(self, tmp_path_factory, chunk, data,
+                                n_probes):
+        # st.floats() draws NaN, the infinities, -0.0 and subnormals too
+        n = data.draw(st.integers(0, 25))
+        column = st.lists(st.floats(), min_size=n, max_size=n)
+        record = csv_record(probe_times=data.draw(column), probes={
+            pid: data.draw(column) for pid in (150, 3, 77)[:n_probes]})
+        new, old, _ = write_both(record, tmp_path_factory.mktemp("m"), chunk,
+                                 membrane=True)
+        assert new == old
+
+    def test_membrane_special_values(self, tmp_path):
+        values = [np.nan, np.inf, -np.inf, -0.0, 0.0, -1e-9, 5e-324, -65.0]
+        record = csv_record(probe_times=np.arange(len(values)) * 0.1,
+                            probes={3: values, 1: values[::-1]})
+        new, old, slow = write_both(record, tmp_path, engine._CSV_CHUNK,
+                                    membrane=True)
+        assert new == old
+        assert slow == [0, 1, 2, 5, 6, 7]  # rows with NaN or an infinity
+        assert b"\n0.400000,-0.000000,0.000000\n" in new
+
+    @pytest.mark.parametrize("membrane", [False, True])
+    def test_empty_record(self, tmp_path, membrane):
+        record = csv_record(probe_times=[], probes={4: []})
+        new, old, _ = write_both(record, tmp_path, 7, membrane)
+        assert new == old
+        assert new.endswith(b"time_ms,v_4\n" if membrane
+                            else b"time_ms,neuron_id\n")
+
+    def test_membrane_without_probes(self, tmp_path):
+        record = csv_record(probe_times=[0.1, 0.2], probes={})
+        new, old, _ = write_both(record, tmp_path, 7, membrane=True)
+        assert new == old == b"time_ms,\n0.100000,\n0.200000,\n"
 
 
 class TestSpeedup:

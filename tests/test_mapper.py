@@ -170,8 +170,8 @@ class TestRouting:
     def test_deterministic(self):
         spec = ensure_sampled(build_brunel(BrunelParams(n_total=600), seed=5))
         topo = WaferTopology(route_capacity=2)
-        a = map_network(spec, topo, seed=1)
-        b = map_network(spec, topo, seed=1)
+        a = map_network(spec, topo)
+        b = map_network(spec, topo)
         assert a.realized == b.realized and a.lost == b.lost
         assert a.admitted_pairs == b.admitted_pairs
         assert np.array_equal(a.placement.neuron_asic, b.placement.neuron_asic)
@@ -240,6 +240,24 @@ class TestReportAndSerialization:
         pruned_a = apply_loss(spec, result)
         pruned_b = apply_loss(spec, again)
         assert spec_content_hash(pruned_a) == spec_content_hash(pruned_b)
+
+    def test_stale_seed_key_ignored(self, tmp_path):
+        # entries written when mappings carried a seed still load
+        spec = ensure_sampled(build_brunel(BrunelParams(n_total=400), seed=3))
+        result = map_network(spec, WaferTopology(route_capacity=2))
+        path = save_mapping(result, tmp_path / "m.json")
+        doc = json.loads(path.read_text())
+        assert "seed" not in doc
+        doc["seed"] = 1
+        path.write_text(json.dumps(doc, sort_keys=True))
+        again = load_mapping(path)
+        assert again.realized == result.realized and again.lost == result.lost
+        assert again.lost_pairs == result.lost_pairs
+        assert np.array_equal(again.placement.neuron_asic,
+                              result.placement.neuron_asic)
+        assert save_mapping(again, tmp_path / "again.json").read_text() == \
+            json.dumps({k: v for k, v in doc.items() if k != "seed"},
+                       sort_keys=True)
 
     def test_truncated_file_raises_wafersim_error(self, tmp_path):
         spec = ensure_sampled(build_brunel(BrunelParams(n_total=400), seed=3))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import microcircuit_scale_for_total
 from wafersim.models import (
     BrunelParams,
     MicrocircuitParams,
@@ -8,7 +9,6 @@ from wafersim.models import (
     build_brunel,
     build_microcircuit,
     load_microcircuit_data,
-    microcircuit_scale_for_total,
     nu_thres,
     round_half_up,
 )

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import in_degree_stats
 from wafersim.models import BrunelParams, build_brunel
 from wafersim.network import (
     EdgeList,
@@ -22,7 +23,6 @@ from wafersim.network import (
     WafersimError,
     ensure_sampled,
     in_degree_array,
-    in_degree_stats,
     load_spec,
     mapping_relevant_hash,
     sample_connectivity,
