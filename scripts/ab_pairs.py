@@ -5,13 +5,14 @@
 
 Exports REF with ``git archive`` into a temporary directory and runs the
 unchanged ``perfbench/run.py --trace 0`` of each tree from that tree's root,
-once per seed on each side.  The side that runs first alternates from pair
-to pair.  "change" is this checkout's working tree, uncommitted edits
+once per seed on each side, for the ``run_seconds`` that ``BENCHMARK.json``
+fixes.  The side that runs first alternates from pair to pair.  "change" is this checkout's working tree, uncommitted edits
 included; "ref" is REF.  Prints each run's end-to-end metrics as it ends,
 then per metric both sides' median and quartiles, the pairs the change won,
 and whether a claimed gain holds: over at least 10 pairs, the change wins
 at least 9 in 10 and its median beats REF's by more than REF's
-interquartile range.  Whether a metric is better higher or lower comes
+interquartile range, and the change has no more failed repetitions than
+REF.  Whether a metric is better higher or lower comes
 from ``BENCHMARK.json``.
 Everything runs locally; nothing is fetched.
 """
@@ -68,14 +69,16 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summary(name: str, better: str, ref: list[float], new: list[float]
-            ) -> str:
+def summary(name: str, better: str, ref: list[float], new: list[float],
+            failed: dict[str, int]) -> str:
     sign = 1.0 if better == "higher" else -1.0
     wins = sum(sign * (b - a) > 0 for a, b in zip(ref, new))
     (r1, rm, r3), (n1, nm, n3) = quartiles(ref), quartiles(new)
     gap = sign * (nm - rm)
     if len(ref) < 10:
         claim = "needs 10 pairs"
+    elif failed["change"] > failed["ref"]:
+        claim = "fails"
     elif wins >= math.ceil(0.9 * len(ref)) and gap > r3 - r1:
         claim = "holds"
     else:
@@ -92,7 +95,6 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", type=parse_seeds, required=True,
                     help="'11-20' or '1,3,5'")
-    ap.add_argument("--seconds", type=float, default=30.0)
     args = ap.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -105,7 +107,8 @@ def main(argv=None) -> int:
         for i, seed in enumerate(args.seeds):
             order = ("ref", "change") if i % 2 == 0 else ("change", "ref")
             for side in order:
-                result = run(trees[side], args.workload, seed, args.seconds)
+                result = run(trees[side], args.workload, seed,
+                             bench["run_seconds"])
                 failed[side] += result["failed"]
                 metrics = {k: m["value"] for k, m in result["metrics"].items()}
                 for name in better:
@@ -119,7 +122,7 @@ def main(argv=None) -> int:
           f"change {failed['change']}")
     for name, direction in better.items():
         print(summary(name, direction, values["ref"][name],
-                      values["change"][name]))
+                      values["change"][name], failed))
     return 0
 
 

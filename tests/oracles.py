@@ -13,13 +13,12 @@ use.
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from wafersim.engine import _record_header
 from wafersim.models import load_microcircuit_data
-from wafersim.network import SynapseKind, in_degree_array
+from wafersim.network import SynapseKind
 from wafersim.psp import psp_peak_current
 
 
@@ -161,27 +160,6 @@ def is_hardware_ready(spec) -> bool:
     """True when every projection is conductance-based, as on the wafer."""
     kinds = spec.synapse_kinds()
     return not kinds or kinds == {SynapseKind.CONDUCTANCE_EXP}
-
-
-@dataclass
-class InDegreeStats:
-    per_population: dict
-    total_synapses: int
-
-
-def in_degree_stats(spec, include_stimuli=True) -> InDegreeStats:
-    """Per-population {mean, max, total_synapses} of afferent edge counts."""
-    counts = in_degree_array(spec, include_stimuli)
-    offsets = spec.population_offsets()
-    per_pop = {}
-    for p in spec.populations:
-        c = counts[offsets[p.pid]:offsets[p.pid] + p.size]
-        per_pop[p.pid] = {
-            "mean": float(c.mean()) if len(c) else 0.0,
-            "max": int(c.max()) if len(c) else 0,
-            "total_synapses": int(c.sum()),
-        }
-    return InDegreeStats(per_pop, int(counts.sum()))
 
 
 def microcircuit_scale_for_total(target_total, data=None) -> float:
