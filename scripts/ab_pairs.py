@@ -6,15 +6,22 @@
 Exports REF with ``git archive`` into a temporary directory and runs the
 unchanged ``perfbench/run.py --trace 0`` of each tree from that tree's root,
 once per seed on each side, for the ``run_seconds`` that ``BENCHMARK.json``
-fixes.  The side that runs first alternates from pair to pair.  "change" is this checkout's working tree, uncommitted edits
-included; "ref" is REF.  Prints each run's end-to-end metrics as it ends,
-then per metric both sides' median and quartiles, the pairs the change won,
-and whether a claimed gain holds: over at least 10 pairs, the change wins
-at least 9 in 10 and its median beats REF's by more than REF's
-interquartile range, and the change has no more failed repetitions than
-REF.  Whether a metric is better higher or lower comes
-from ``BENCHMARK.json``.
-Everything runs locally; nothing is fetched.
+fixes.  The side that runs first alternates from pair to pair.  "change" is
+this checkout's working tree, uncommitted edits included; "ref" is REF.
+Prints each run's end-to-end metrics as it ends, then per metric both
+sides' median and quartiles, the pairs the change won, and two verdicts:
+
+- claim: whether a claimed gain holds.  Over at least 10 pairs, the change
+  wins at least 9 in 10 and its median beats REF's by more than REF's
+  interquartile range, and the change has no more failed repetitions than
+  REF.
+- regression: "regressed" when the change's median is worse than REF's by
+  more than the metric's ``bound`` (a fraction of REF's median);
+  otherwise "unresolved" when REF's interquartile range exceeds the bound
+  and not every change run beats every REF run; otherwise "within bound".
+
+Whether a metric is better higher or lower, and its bound, come from
+``BENCHMARK.json``.  Everything runs locally; nothing is fetched.
 """
 
 from __future__ import annotations
@@ -69,8 +76,8 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summary(name: str, better: str, ref: list[float], new: list[float],
-            failed: dict[str, int]) -> str:
+def summary(name: str, better: str, bound: float, ref: list[float],
+            new: list[float], failed: dict[str, int]) -> str:
     sign = 1.0 if better == "higher" else -1.0
     wins = sum(sign * (b - a) > 0 for a, b in zip(ref, new))
     (r1, rm, r3), (n1, nm, n3) = quartiles(ref), quartiles(new)
@@ -83,10 +90,19 @@ def summary(name: str, better: str, ref: list[float], new: list[float],
         claim = "holds"
     else:
         claim = "fails"
+    scale = abs(rm) or 1.0
+    if -gap / scale > bound:
+        regression = "regressed"
+    elif (r3 - r1) / scale > bound and not all(
+            sign * (b - a) > 0 for a in ref for b in new):
+        regression = "unresolved"
+    else:
+        regression = "within bound"
     return (f"{name:<14} ref {rm:<10.4g} [{r1:.4g}, {r3:.4g}]  "
             f"change {nm:<10.4g} [{n1:.4g}, {n3:.4g}]  "
             f"ratio {nm / rm if rm else math.nan:<6.3f} "
-            f"wins {wins}/{len(ref)}  claim {claim}")
+            f"wins {wins}/{len(ref)}  claim {claim}  "
+            f"regression {regression} (bound {bound:g})")
 
 
 def main(argv=None) -> int:
@@ -99,6 +115,7 @@ def main(argv=None) -> int:
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bound = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     values = {side: {name: [] for name in better} for side in ("ref", "change")}
     failed = {"ref": 0, "change": 0}
     with tempfile.TemporaryDirectory(prefix="ab_pairs_") as tmp:
@@ -121,7 +138,7 @@ def main(argv=None) -> int:
           f"failed repetitions: ref {failed['ref']}, "
           f"change {failed['change']}")
     for name, direction in better.items():
-        print(summary(name, direction, values["ref"][name],
+        print(summary(name, direction, bound[name], values["ref"][name],
                       values["change"][name], failed))
     return 0
 

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Scaled cortical microcircuit end to end.
 
-Builds the eight-population model, adapts it to hardware constraints (leak
-shift, conductance synapses, parameter variation), maps it onto the wafer with
-synapse-loss accounting and simulates it.  Prints per-population rates and the
+Builds the eight-population model, adapts it to the hardware (downscales it
+to 7713 neurons with linear weight compensation and replaces its Poisson
+input by a leak shift), maps it onto the wafer with synapse-loss accounting
+and simulates it.  Prints per-population rates and the
 mapping loss summary; all artifacts land in the output directory.
 """
 

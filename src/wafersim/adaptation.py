@@ -29,6 +29,7 @@ from .network import (
     SynapseKind,
     WafersimError,
     ensure_sampled,
+    from_fields,
 )
 from .psp import psp_shape_factor
 from .rngtools import stream
@@ -252,10 +253,10 @@ def replace_input_with_leak_shift(spec: NetworkSpec
             continue
         pop = out.population(st.target)
         mean_i = st.rate * 1e-3 * st.weight * pop.params.tau_syn_exc  # nA
-        delta_v = mean_i * pop.params.tau_m / pop.params.c_m  # mV
+        shift = mean_i * pop.params.tau_m / pop.params.c_m  # mV
         # copy before mutating: populations may share a params object
-        pop.params = dc_replace(pop.params, v_rest=pop.params.v_rest + delta_v)
-        shifts[st.target] = delta_v
+        pop.params = dc_replace(pop.params, v_rest=pop.params.v_rest + shift)
+        shifts[st.target] = shift
     out.stimuli = remaining
     return out, _record("replace_input_with_leak_shift", before, out,
                         delta_v_per_population=shifts)
@@ -449,7 +450,7 @@ class AdaptationConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "AdaptationConfig":
-        return cls(**doc)
+        return from_fields(cls, doc, "adaptation")
 
     def to_dict(self) -> dict:
         return {

@@ -26,6 +26,7 @@ from .models import BrunelParams
 from .network import (
     WafersimError,
     ensure_sampled,
+    from_fields,
     load_spec,
     save_spec,
     validate_network,
@@ -116,7 +117,8 @@ def cmd_simulate(args) -> int:
         sim["duration"] = args.duration
     if args.dt is not None:
         sim["dt"] = args.dt
-    record, _ = simulate_stage(spec, SimulationConfig(**sim), _out_dir(args))
+    record, _ = simulate_stage(spec, from_fields(SimulationConfig, sim,
+                                                 "simulation"), _out_dir(args))
     print(f"{record.spike_count()} spikes, {record.deliveries} deliveries, "
           f"{record.wall_time:.3f} s wall")
     return EXIT_OK
@@ -141,11 +143,12 @@ def cmd_sweep(args) -> int:
     model_params.pop("g", None)
     model_params.pop("eta", None)
     base = SweepBaseConfig(
-        brunel=BrunelParams(**model_params),
+        brunel=from_fields(BrunelParams, model_params, "brunel"),
         adaptation=AdaptationConfig.from_dict(
             {"seed": args.seed, **cfg.get("adaptation", {})}),
-        simulation=SimulationConfig(
-            **{"seed": args.seed, **cfg.get("simulation", {})}),
+        simulation=from_fields(
+            SimulationConfig, {"seed": args.seed, **cfg.get("simulation", {})},
+            "simulation"),
         window_start=float(cfg.get("analysis", {}).get("window_start", 500.0)),
         seed=args.seed,
     )
@@ -161,7 +164,8 @@ def cmd_sweep(args) -> int:
 def cmd_bench(args) -> int:
     cfg = _load_config(args)
     if cfg:
-        config = PipelineConfig(**{"seed": args.seed, **cfg})
+        config = from_fields(PipelineConfig, {"seed": args.seed, **cfg},
+                             "config")
     else:
         config = scaled_brunel_config(seed=args.seed,
                                       duration=args.duration or 2000.0)

@@ -67,6 +67,8 @@ class SimulationDiagnosticError(WafersimError):
 # Most steps advanced at once.  It bounds the block's arrays and keeps the
 # products of per-step decay factors far from underflow.
 BLOCK_CAP = 64
+# Most membrane probes one simulation records.
+MAX_PROBES = 8
 
 
 @dataclass
@@ -76,15 +78,14 @@ class SimulationConfig:
     seed: int = 0
     record_populations: Optional[list[str]] = None  # None = record all spikes
     membrane_probes: list[int] = field(default_factory=list)  # global neuron ids
-    max_probes: int = 8
 
     def check(self) -> None:
         if self.dt <= 0:
             raise ValueError("dt must be > 0")
         if self.duration < 0:
             raise ValueError("duration must be >= 0")
-        if len(self.membrane_probes) > self.max_probes:
-            raise ValueError(f"at most {self.max_probes} membrane probes")
+        if len(self.membrane_probes) > MAX_PROBES:
+            raise ValueError(f"at most {MAX_PROBES} membrane probes")
 
     def to_dict(self) -> dict:
         return {
@@ -156,16 +157,7 @@ class _Engine:
                      "v_reset", "v_thresh", "e_rev_exc", "e_rev_inh", "c_m",
                      "i_offset"):
             setattr(self, name, _concat_param(spec, name).copy())
-        offsets = spec.population_offsets()
-        self.offsets = offsets
-
-        # leak-shift stimuli fold into the resting potential / offset current
-        for st in spec.stimuli:
-            if st.kind == StimulusKind.LEAK_SHIFT:
-                o = offsets[st.target]
-                s = spec.population(st.target).size
-                self.v_rest[o:o + s] += st.delta_v
-                self.i_offset[o:o + s] += st.delta_i
+        self.offsets = spec.population_offsets()
 
         self.g_leak = self.c_m / self.tau_m  # uS
         self.ref_steps = np.round(self.tau_ref / self.dt).astype(np.int64)

@@ -10,12 +10,12 @@ per-ASIC splits are modeling choices and fully config-overridable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .network import NetworkSpec, WafersimError, in_degree_array
+from .network import NetworkSpec, WafersimError, from_fields, in_degree_array
 
 
 class InfeasibleFanInError(WafersimError):
@@ -80,12 +80,9 @@ class WaferTopology:
     @classmethod
     def from_dict(cls, doc: dict) -> "WaferTopology":
         doc = dict(doc)
-        unknown = set(doc) - {f.name for f in fields(cls)}
-        if unknown:
-            raise WafersimError(f"unknown topology fields: {sorted(unknown)}")
         if doc.get("available") is not None:
             doc["available"] = np.asarray(doc["available"], dtype=bool)
-        return cls(**doc)
+        return from_fields(cls, doc, "topology")
 
     def content_hash(self) -> str:
         import hashlib

@@ -146,7 +146,6 @@ def load_microcircuit_data() -> dict:
 class MicrocircuitParams:
     scale: float = 1.0  # uniform factor on population sizes
     external_rate: Optional[float] = None  # Hz per external input; None = table value
-    leak_shift_input: bool = False  # encode external drive as LeakShift stimuli
     data: Optional[dict] = None  # override for the bundled table
 
     def check(self) -> None:
@@ -158,8 +157,8 @@ def build_microcircuit(params: MicrocircuitParams, seed: int = 0) -> NetworkSpec
     """Eight populations with the bundled 8x8 probability map.
 
     External input is one Poisson source per neuron at K_ext * rate (with the
-    table's excitatory weight), or an equivalent leak-shift stimulus when
-    ``leak_shift_input`` is set.  Note K_ext is NOT scaled here; in-degree
+    table's excitatory weight); ``adaptation.replace_input_with_leak_shift``
+    turns it into a leak shift.  Note K_ext is NOT scaled here; in-degree
     reduction is the adaptation stage's job.
     """
     params.check()
@@ -194,20 +193,11 @@ def build_microcircuit(params: MicrocircuitParams, seed: int = 0) -> NetworkSpec
             ))
     rate = params.external_rate if params.external_rate is not None \
         else data["external_rate_hz"]
-    stimuli = []
-    for name, k_ext in zip(names, data["external_in_degrees"]):
-        if params.leak_shift_input:
-            # Mean external current K*nu*w*tau_syn times R gives the shift.
-            mean_i = k_ext * rate * 1e-3 * w_exc * neuron.tau_syn_exc  # nA
-            delta_v = mean_i * neuron.tau_m / neuron.c_m  # mV
-            stimuli.append(StimulusSpec(
-                sid=f"ext->{name}", target=name, kind=StimulusKind.LEAK_SHIFT,
-                delta_v=delta_v,
-            ))
-        else:
-            stimuli.append(StimulusSpec(
-                sid=f"ext->{name}", target=name,
-                kind=StimulusKind.POISSON_PER_NEURON,
-                rate=k_ext * rate, weight=w_exc, delay=d_exc,
-            ))
+    stimuli = [
+        StimulusSpec(
+            sid=f"ext->{name}", target=name, kind=StimulusKind.POISSON_PER_NEURON,
+            rate=k_ext * rate, weight=w_exc, delay=d_exc,
+        )
+        for name, k_ext in zip(names, data["external_in_degrees"])
+    ]
     return NetworkSpec(populations=pops, projections=projs, stimuli=stimuli, seed=seed)

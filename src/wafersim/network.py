@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import struct
-from dataclasses import dataclass, field, replace
+import os
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from typing import Optional, Union
@@ -50,7 +50,6 @@ class SynapseKind(str, Enum):
 class StimulusKind(str, Enum):
     POISSON_PER_NEURON = "poisson_per_neuron"
     POISSON_POOL = "poisson_pool"
-    LEAK_SHIFT = "leak_shift"
 
 
 @dataclass
@@ -146,17 +145,21 @@ class StimulusSpec:
     delay: float = 1.0  # ms
     pool_size: int = 0  # POISSON_POOL only
     samples_per_target: int = 0  # POISSON_POOL only
-    delta_v: float = 0.0  # mV, LEAK_SHIFT only
-    delta_i: float = 0.0  # nA, LEAK_SHIFT only
     pool_group: str = ""  # POISSON_POOL stimuli with equal group share sources
+
+
+# A sidecar record of one edge: little-endian, in the dtypes of EdgeList's
+# arrays, so a saved edge list loads equal in value and dtype.
+EDGE_DTYPE = np.dtype([("src", "<u4"), ("tgt", "<u4"),
+                       ("weight", "<f8"), ("delay", "<f8")])
 
 
 @dataclass
 class EdgeList:
     src: np.ndarray  # uint32
     tgt: np.ndarray  # uint32
-    weight: np.ndarray  # float64 in memory; serialized as f32
-    delay: np.ndarray  # float64 in memory; serialized as f32
+    weight: np.ndarray  # float64
+    delay: np.ndarray  # float64
 
     def __len__(self) -> int:
         return len(self.src)
@@ -181,23 +184,22 @@ class EdgeList:
             else np.ascontiguousarray(delay, np.float64),
         )
 
+    def _records(self) -> np.ndarray:
+        rec = np.empty(len(self), EDGE_DTYPE)
+        for name in EDGE_DTYPE.names:
+            rec[name] = getattr(self, name)
+        return rec
+
     def to_bytes(self) -> bytes:
-        rec = np.empty(len(self), dtype=[("src", "<u4"), ("tgt", "<u4"),
-                                         ("weight", "<f4"), ("delay", "<f4")])
-        rec["src"] = self.src
-        rec["tgt"] = self.tgt
-        rec["weight"] = self.weight
-        rec["delay"] = self.delay
-        return rec.tobytes()
+        return self._records().tobytes()
 
     @classmethod
-    def from_bytes(cls, buf: bytes) -> "EdgeList":
-        rec = np.frombuffer(buf, dtype=[("src", "<u4"), ("tgt", "<u4"),
-                                        ("weight", "<f4"), ("delay", "<f4")])
-        return cls(
-            rec["src"].astype(np.uint32), rec["tgt"].astype(np.uint32),
-            rec["weight"].astype(np.float64), rec["delay"].astype(np.float64),
-        )
+    def from_bytes(cls, buf) -> "EdgeList":
+        """The edges of a buffer of ``EDGE_DTYPE`` records."""
+        rec = np.frombuffer(buf, EDGE_DTYPE)
+        return cls(rec["src"].astype(np.uint32), rec["tgt"].astype(np.uint32),
+                   rec["weight"].astype(np.float64),
+                   rec["delay"].astype(np.float64))
 
 
 @dataclass
@@ -270,9 +272,6 @@ class NetworkSpec:
 @dataclass
 class ValidationReport:
     findings: list[str] = field(default_factory=list)
-
-    def __bool__(self) -> bool:  # truthy when clean
-        return not self.findings
 
     @property
     def ok(self) -> bool:
@@ -438,11 +437,28 @@ def in_degree_array(spec: NetworkSpec, include_stimuli: bool = True) -> np.ndarr
 
 # --- serialization ----------------------------------------------------------
 
-_SIDECAR_MAGIC = b"WSED"
+_SIDECAR_MAGIC = b"WSE2"
+# The magic of the sidecar format before, whose weights and delays were f32.
+_FLOAT32_SIDECAR_MAGIC = b"WSED"
 
 
-def spec_to_dict(spec: NetworkSpec, inline_edges: bool = True) -> dict:
-    doc = {
+def from_fields(cls, doc: dict, what: str):
+    """``cls(**doc)`` for the dataclass ``cls``; a key of ``doc`` that is not
+    a field of ``cls`` raises ``WafersimError`` naming the key."""
+    unknown = set(doc) - {f.name for f in fields(cls)}
+    if unknown:
+        raise WafersimError(f"unknown {what} fields: {sorted(unknown)}")
+    return cls(**doc)
+
+
+def _rebuild(what: str) -> WafersimError:
+    return WafersimError(f"network spec in an older format ({what}); "
+                         f"rebuild it with this version")
+
+
+def spec_to_dict(spec: NetworkSpec) -> dict:
+    """The structure of ``spec``: everything but its edge lists."""
+    return {
         "seed": spec.seed,
         "populations": [
             {
@@ -473,23 +489,6 @@ def spec_to_dict(spec: NetworkSpec, inline_edges: bool = True) -> dict:
             for st in spec.stimuli
         ],
     }
-    if inline_edges:
-        for section, table in (("edges", spec.edges),
-                               ("stim_edges", spec.stim_edges)):
-            doc[section] = {key: _edges_to_dict(e) for key, e in table.items()}
-    return doc
-
-
-def _edges_to_dict(e: EdgeList) -> dict:
-    return {"src": e.src.tolist(), "tgt": e.tgt.tolist(),
-            "weight": e.weight.tolist(), "delay": e.delay.tolist()}
-
-
-def _edges_from_dict(d: dict) -> EdgeList:
-    return EdgeList.from_arrays(
-        np.asarray(d["src"], np.uint32), np.asarray(d["tgt"], np.uint32),
-        np.asarray(d["weight"], np.float64), np.asarray(d["delay"], np.float64),
-    )
 
 
 def _connector_to_dict(c: Connector) -> dict:
@@ -509,6 +508,12 @@ def _connector_from_dict(d: dict) -> Connector:
 
 
 def spec_from_dict(doc: dict) -> NetworkSpec:
+    """The spec whose structure ``spec_to_dict`` wrote, without edge lists.
+    A document with inline edge lists or with stimulus fields this version
+    does not know is in an older format and raises ``WafersimError``."""
+    inline = sorted({"edges", "stim_edges"} & set(doc))
+    if inline:
+        raise _rebuild(f"inline edge lists {inline}")
     pops = [
         Population(
             pid=p["pid"],
@@ -535,43 +540,39 @@ def spec_from_dict(doc: dict) -> NetworkSpec:
         for pr in doc["projections"]
     ]
     stims = []
+    stim_fields = {f.name for f in fields(StimulusSpec)}
     for st in doc.get("stimuli", []):
+        stale = sorted(set(st) - stim_fields)
+        if stale:
+            raise _rebuild(f"stimulus fields {stale}")
         st = dict(st)
         st["kind"] = StimulusKind(st["kind"])
         stims.append(StimulusSpec(**st))
-    spec = NetworkSpec(populations=pops, projections=projs, stimuli=stims,
+    return NetworkSpec(populations=pops, projections=projs, stimuli=stims,
                        seed=doc.get("seed", 0))
-    for section, table in (("edges", spec.edges), ("stim_edges", spec.stim_edges)):
-        for key, e in doc.get(section, {}).items():
-            table[key] = _edges_from_dict(e)
-    return spec
 
 
-def save_spec(spec: NetworkSpec, path: Union[str, Path],
-              sidecar: Optional[bool] = None) -> Path:
-    """Write a spec to JSON, optionally externalizing edges to a binary sidecar.
+def save_spec(spec: NetworkSpec, path: Union[str, Path]) -> Path:
+    """Write ``spec`` to ``path`` as JSON and its edges to ``<path>.edges``.
 
-    The sidecar holds little-endian (src u32, tgt u32, weight f32, delay f32)
-    records for all edge lists, indexed by byte offsets in the JSON document.
-    By default the sidecar is used once the spec holds more than 100k edges.
+    The JSON holds the structure and, under ``edge_sidecar``, the sidecar's
+    file name and the byte offset and count of each edge list in it.  The
+    sidecar is a magic followed by the ``EDGE_DTYPE`` records of every edge
+    list, written one list at a time.
     """
     path = Path(path)
-    n_edges = sum(len(e) for e in spec.edges.values()) + \
-        sum(len(e) for e in spec.stim_edges.values())
-    if sidecar is None:
-        sidecar = n_edges > 100_000
-    doc = spec_to_dict(spec, inline_edges=not sidecar)
-    if sidecar:
-        sidecar_path = path.with_suffix(path.suffix + ".edges")
-        index = {"edges": {}, "stim_edges": {}}
-        blob = bytearray(_SIDECAR_MAGIC)
-        for section, table in (("edges", spec.edges), ("stim_edges", spec.stim_edges)):
+    sidecar = path.with_suffix(path.suffix + ".edges")
+    index = {}
+    with open(sidecar, "wb") as f:
+        offset = f.write(_SIDECAR_MAGIC)
+        for section, table in (("edges", spec.edges),
+                               ("stim_edges", spec.stim_edges)):
+            index[section] = {}
             for key in sorted(table):
-                data = table[key].to_bytes()
-                index[section][key] = {"offset": len(blob), "count": len(table[key])}
-                blob += data
-        sidecar_path.write_bytes(bytes(blob))
-        doc["edge_sidecar"] = {"file": sidecar_path.name, "index": index}
+                index[section][key] = {"offset": offset, "count": len(table[key])}
+                offset += f.write(table[key]._records())
+    doc = spec_to_dict(spec)
+    doc["edge_sidecar"] = {"file": sidecar.name, "index": index}
     path.write_text(json.dumps(doc, sort_keys=True))
     return path
 
@@ -579,31 +580,43 @@ def save_spec(spec: NetworkSpec, path: Union[str, Path],
 def load_spec(path: Union[str, Path]) -> NetworkSpec:
     """Read a spec written by ``save_spec``.  A document that is not valid
     JSON, lacks a field or holds a value of the wrong type raises
-    ``WafersimError``, as does a sidecar that does not match its index."""
+    ``WafersimError``, as does a sidecar that does not match its index and
+    a spec in an older format."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
         spec = spec_from_dict(doc)
-        sc = doc.get("edge_sidecar")
-        if sc:
-            blob = (path.parent / sc["file"]).read_bytes()
-            if blob[:4] != _SIDECAR_MAGIC:
-                raise WafersimError("corrupt edge sidecar")
+        sc = doc["edge_sidecar"]
+        # one entry at a time into its own records: a whole-file buffer
+        # would add the sidecar's size to the peak memory of every load
+        with open(path.parent / sc["file"], "rb") as f:
+            size = os.fstat(f.fileno()).st_size
+            magic = f.read(len(_SIDECAR_MAGIC))
+            if magic == _FLOAT32_SIDECAR_MAGIC:
+                raise _rebuild(f"float32 edge sidecar {sc['file']}")
+            if magic != _SIDECAR_MAGIC:
+                raise WafersimError(f"corrupt edge sidecar {sc['file']}")
             end = len(_SIDECAR_MAGIC)
             for section, table in (("edges", spec.edges),
                                    ("stim_edges", spec.stim_edges)):
                 for key, entry in sc["index"][section].items():
-                    start = entry["offset"]
-                    stop = start + 16 * entry["count"]
-                    if not len(_SIDECAR_MAGIC) <= start <= stop <= len(blob):
+                    start, count = entry["offset"], entry["count"]
+                    stop = start + EDGE_DTYPE.itemsize * count
+                    if not len(_SIDECAR_MAGIC) <= start <= stop <= size:
                         raise WafersimError(
-                            f"edge sidecar {sc['file']} is {len(blob)} bytes; "
+                            f"edge sidecar {sc['file']} is {size} bytes; "
                             f"{section}/{key} needs bytes {start}-{stop}")
-                    table[key] = EdgeList.from_bytes(blob[start:stop])
+                    rec = np.empty(count, EDGE_DTYPE)
+                    f.seek(start)
+                    if f.readinto(rec) != rec.nbytes:
+                        raise WafersimError(
+                            f"edge sidecar {sc['file']} ended inside "
+                            f"{section}/{key}")
+                    table[key] = EdgeList.from_bytes(rec)
                     end = max(end, stop)
-            if end != len(blob):
+            if end != size:
                 raise WafersimError(
-                    f"edge sidecar {sc['file']} is {len(blob)} bytes; "
+                    f"edge sidecar {sc['file']} is {size} bytes; "
                     f"its index ends at byte {end}")
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise WafersimError(f"corrupt network spec {path}: {exc!r}") from None
@@ -629,7 +642,7 @@ def mapping_relevant_hash(spec: NetworkSpec) -> str:
 def spec_content_hash(spec: NetworkSpec) -> str:
     """Stable content hash over the full spec including explicit edges."""
     h = hashlib.blake2b(digest_size=16)
-    doc = spec_to_dict(spec, inline_edges=False)
+    doc = spec_to_dict(spec)
     h.update(json.dumps(doc, sort_keys=True).encode())
     for section in (spec.edges, spec.stim_edges):
         for key in sorted(section):

@@ -51,6 +51,7 @@ from .network import (
     NeuronParameters,
     WafersimError,
     ensure_sampled,
+    from_fields,
     mapping_relevant_hash,
     save_spec,
     validate_network,
@@ -79,7 +80,7 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: Union[str, Path]) -> "PipelineConfig":
-        return cls(**json.loads(Path(path).read_text()))
+        return from_fields(cls, json.loads(Path(path).read_text()), "config")
 
     def to_dict(self) -> dict:
         return {
@@ -97,10 +98,13 @@ def build_model(model: dict, seed: int) -> NetworkSpec:
     params = dict(model.get("params", {}))
     if name == "brunel":
         if "neuron" in params:
-            params["neuron"] = NeuronParameters(**params["neuron"])
-        return build_brunel(BrunelParams(**params), seed=seed)
+            params["neuron"] = from_fields(NeuronParameters, params["neuron"],
+                                           "neuron")
+        return build_brunel(from_fields(BrunelParams, params, "brunel"),
+                            seed=seed)
     if name == "microcircuit":
-        return build_microcircuit(MicrocircuitParams(**params), seed=seed)
+        return build_microcircuit(
+            from_fields(MicrocircuitParams, params, "microcircuit"), seed=seed)
     raise WafersimError(f"unknown model '{name}'")
 
 
@@ -271,7 +275,7 @@ def run_pipeline(config: Union[PipelineConfig, str, Path, dict],
     if isinstance(config, (str, Path)):
         config = PipelineConfig.from_file(config)
     elif isinstance(config, dict):
-        config = PipelineConfig(**config)
+        config = from_fields(PipelineConfig, config, "config")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = {}
@@ -303,8 +307,9 @@ def run_pipeline(config: Union[PipelineConfig, str, Path, dict],
         artifacts.update(paths)
 
     try:
-        record, paths = simulate_stage(run_spec, SimulationConfig(
-            **{"seed": config.seed, **config.simulation}), out_dir)
+        record, paths = simulate_stage(run_spec, from_fields(
+            SimulationConfig, {"seed": config.seed, **config.simulation},
+            "simulation"), out_dir)
     except Exception as exc:
         raise StageFailure("simulate", exc)
     artifacts.update(paths)

@@ -107,6 +107,32 @@ class TestStageCommands:
                      "--out-dir", str(tmp_path)])
         assert code == EXIT_VALIDATION
 
+    # an unknown key in each section a subcommand reads: exit 2, and the
+    # message names the key
+    @pytest.mark.parametrize("command,doc,key", [pytest.param(*case, id=case[0])
+                                                 for case in (
+        ("build", {"model": {"name": "brunel", "params": {"n_totl": 200}}},
+         "n_totl"),
+        ("adapt", {"adaptation": {"neuron_scal": 0.5}}, "neuron_scal"),
+        ("map", {"topology": {"rowz": 2}}, "rowz"),
+        ("simulate", {"simulation": {"duraton": 100}}, "duraton"),
+        ("sweep", {"model": {"params": {"n_totl": 200}}}, "n_totl"),
+        ("bench", {"model": {"name": "brunel", "params": {"n_total": 200}},
+                   "simulaton": {"duration": 100}}, "simulaton"),
+    )])
+    def test_unknown_config_key_exit_2(self, built, capsys, command, doc, key):
+        spec = {"adapt": ["spec.json"], "map": ["adapted.json"],
+                "simulate": ["spec.json"]}.get(command, [])
+        if command == "map":
+            assert main(["adapt", str(built / "spec.json"),
+                         "--out-dir", str(built)]) == EXIT_OK
+        capsys.readouterr()
+        cfg = write_config(built, doc, name="unknown.json")
+        code = main([command, *(str(built / s) for s in spec),
+                     "--out-dir", str(built), "--config", cfg])
+        assert code == EXIT_VALIDATION
+        assert key in capsys.readouterr().err
+
     def test_truncated_spec_exit_2(self, built):
         spec = built / "spec.json"
         spec.write_text(spec.read_text()[:100])
@@ -125,7 +151,9 @@ def test_stage_commands_write_what_run_pipeline_writes(tmp_path, capsys):
         assert main([command, str(cli_dir / spec), *args]) == EXIT_OK
     result = run_pipeline(config, pipeline_dir)
     (cache,) = pipeline_dir.glob("mapping_*_*.json")
-    for name in ("spec.json", "adapted.json", cache.name, "mapped.json"):
+    for name in ("spec.json", "spec.json.edges", "adapted.json",
+                 "adapted.json.edges", cache.name, "mapped.json",
+                 "mapped.json.edges"):
         assert (cli_dir / name).read_bytes() == \
             (pipeline_dir / name).read_bytes(), name
     record = load_spikes_binary(cli_dir / "spikes.bin")

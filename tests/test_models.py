@@ -14,7 +14,6 @@ from wafersim.models import (
 )
 from wafersim.network import (
     NeuronParameters,
-    StimulusKind,
     ensure_sampled,
     spec_content_hash,
     validate_network,
@@ -138,15 +137,6 @@ class TestMicrocircuit:
         for pr in spec.projections:
             sign = spec.population(pr.source).sign.value
             assert (pr.weight < 0) == (sign == "inhibitory")
-
-    def test_leak_shift_option(self):
-        spec = build_microcircuit(MicrocircuitParams(scale=0.05,
-                                                     leak_shift_input=True))
-        assert all(st.kind == StimulusKind.LEAK_SHIFT for st in spec.stimuli)
-        # L23E: K=1600, 8 Hz, w=0.0878 nA, tau_syn=0.5 ms, R=40 MOhm
-        expected = 1600 * 8e-3 * 0.0878 * 0.5 * 40.0
-        l23e = next(st for st in spec.stimuli if st.target == "L23E")
-        assert l23e.delta_v == pytest.approx(expected)
 
     def test_validates(self):
         assert validate_network(build_microcircuit(

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from wafersim.models import BrunelParams, build_brunel
 from wafersim.network import (
+    EDGE_DTYPE,
     EdgeList,
     FixedInDegree,
     FixedProbability,
@@ -48,6 +49,34 @@ def two_pop_spec(n_exc=80, n_inh=20, p=0.1, seed=0):
                             rate=1000.0, weight=0.05, delay=1.5)]
     return NetworkSpec(populations=pops, projections=projs, stimuli=stimuli,
                        seed=seed)
+
+
+def with_double_weights(spec, seed=0):
+    """``spec`` with per-edge weights and delays that float32 cannot hold,
+    and a pool edge list for its stimulus."""
+    rng = np.random.default_rng(seed)
+    for e in spec.edges.values():
+        e.weight = e.weight * rng.uniform(0.5, 1.5, len(e))
+        e.delay = e.delay + rng.random(len(e))
+    n = spec.population("exc").size
+    spec.stim_edges["ext->exc"] = EdgeList.from_arrays(
+        rng.integers(0, 10, n), np.arange(n), rng.random(n), 1.5)
+    return spec
+
+
+def assert_edges_equal(again, spec):
+    """Every edge list of ``again`` equals that of ``spec`` in value and
+    dtype: uint32 endpoints, float64 weights and delays."""
+    for section in ("edges", "stim_edges"):
+        want = getattr(spec, section)
+        got = getattr(again, section)
+        assert got.keys() == want.keys()
+        for key, e in want.items():
+            for name, dtype in (("src", np.uint32), ("tgt", np.uint32),
+                                ("weight", np.float64), ("delay", np.float64)):
+                a, b = getattr(got[key], name), getattr(e, name)
+                assert a.dtype == b.dtype == dtype, (key, name)
+                assert np.array_equal(a, b), (key, name)
 
 
 class TestSampling:
@@ -173,37 +202,94 @@ class TestSerialization:
         assert spec_to_dict(again) == spec_to_dict(spec)
 
     def test_roundtrip_sampled(self, tmp_path):
-        spec = ensure_sampled(two_pop_spec(seed=5))
-        path = save_spec(spec, tmp_path / "net.json")
-        again = load_spec(path)
+        spec = with_double_weights(ensure_sampled(two_pop_spec(seed=5)))
+        assert spec.total_synapses() < 100_000
+        again = load_spec(save_spec(spec, tmp_path / "net.json"))
+        assert_edges_equal(again, spec)
         assert spec_content_hash(again) == spec_content_hash(spec)
-        for pid, e in spec.edges.items():
-            assert np.array_equal(again.edges[pid].src, e.src)
-            assert np.allclose(again.edges[pid].weight, e.weight)
 
     def test_binary_sidecar_used_for_large_edge_lists(self, tmp_path):
-        spec = ensure_sampled(two_pop_spec(n_exc=800, n_inh=400, p=0.5, seed=6))
+        spec = with_double_weights(ensure_sampled(
+            two_pop_spec(n_exc=800, n_inh=400, p=0.5, seed=6)))
         assert spec.total_synapses() > 100_000
         path = save_spec(spec, tmp_path / "net.json")
         sidecar = tmp_path / "net.json.edges"
-        assert sidecar.exists()
-        assert sidecar.read_bytes()[:4] == b"WSED"
+        assert sidecar.read_bytes()[:4] == b"WSE2"
+        assert "edges" not in json.loads(path.read_text())
         again = load_spec(path)
+        assert_edges_equal(again, spec)
         assert spec_content_hash(again) == spec_content_hash(spec)
 
-    # cut on a 16-byte edge boundary (loaded as fewer edges before), cut
+    def test_unsampled_spec_has_empty_sidecar(self, tmp_path):
+        path = save_spec(two_pop_spec(), tmp_path / "net.json")
+        assert (tmp_path / "net.json.edges").read_bytes() == b"WSE2"
+        again = load_spec(path)
+        assert not again.edges and not again.stim_edges
+        assert not again.is_sampled()
+
+    # cut on an edge record boundary (loaded as fewer edges before), cut
     # inside an edge (a raw numpy error before), or trailing bytes
     @pytest.mark.parametrize("change", [
-        lambda raw: raw[:-16_000], lambda raw: raw[:-7],
-        lambda raw: raw + bytes(16)])
+        lambda raw: raw[:-1000 * EDGE_DTYPE.itemsize], lambda raw: raw[:-7],
+        lambda raw: raw + bytes(EDGE_DTYPE.itemsize)])
     def test_sidecar_length_checked(self, tmp_path, change):
         spec = ensure_sampled(build_brunel(BrunelParams(n_total=500), seed=0))
-        path = save_spec(spec, tmp_path / "net.json", sidecar=True)
+        path = save_spec(spec, tmp_path / "net.json")
         sidecar = tmp_path / "net.json.edges"
         raw = sidecar.read_bytes()
-        assert len(raw) > 16_000
+        assert len(raw) > 1000 * EDGE_DTYPE.itemsize
         sidecar.write_bytes(change(raw))
         with pytest.raises(WafersimError, match="edge sidecar"):
+            load_spec(path)
+
+    # Specs of the format before the float64 sidecar: none may load, and
+    # above all none as an unsampled spec that ensure_sampled would redraw.
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_inline_edges_refused(self, tmp_path, sampled):
+        spec = two_pop_spec(seed=5)
+        if sampled:
+            ensure_sampled(spec)
+        path = save_spec(spec, tmp_path / "net.json")
+        doc = json.loads(path.read_text())
+        del doc["edge_sidecar"]
+        doc["edges"] = {pid: {"src": e.src.tolist(), "tgt": e.tgt.tolist(),
+                              "weight": e.weight.tolist(),
+                              "delay": e.delay.tolist()}
+                        for pid, e in spec.edges.items()}
+        doc["stim_edges"] = {}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(WafersimError, match="older format.*rebuild"):
+            load_spec(path)
+
+    def test_float32_sidecar_refused(self, tmp_path):
+        spec = ensure_sampled(two_pop_spec(seed=5))
+        spec.stimuli = []
+        path = save_spec(spec, tmp_path / "net.json")
+        doc = json.loads(path.read_text())
+        f32 = np.dtype([("src", "<u4"), ("tgt", "<u4"),
+                        ("weight", "<f4"), ("delay", "<f4")])
+        blob = bytearray(b"WSED")
+        for pid in sorted(spec.edges):
+            e = spec.edges[pid]
+            doc["edge_sidecar"]["index"]["edges"][pid] = {
+                "offset": len(blob), "count": len(e)}
+            rec = np.empty(len(e), f32)
+            for name in f32.names:
+                rec[name] = getattr(e, name)
+            blob += rec.tobytes()
+        (tmp_path / "net.json.edges").write_bytes(bytes(blob))
+        path.write_text(json.dumps(doc))
+        with pytest.raises(WafersimError, match="older format.*rebuild"):
+            load_spec(path)
+
+    def test_leak_shift_stimulus_fields_refused(self, tmp_path):
+        path = save_spec(ensure_sampled(two_pop_spec(seed=5)),
+                         tmp_path / "net.json")
+        doc = json.loads(path.read_text())
+        for st in doc["stimuli"]:
+            st.update(delta_v=0.0, delta_i=0.0)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(WafersimError, match="older format.*rebuild"):
             load_spec(path)
 
     @pytest.mark.parametrize("change", [
@@ -220,13 +306,10 @@ class TestSerialization:
     def test_edge_list_bytes_roundtrip(self):
         e = EdgeList.from_arrays(
             np.array([1, 2, 3], np.uint32), np.array([4, 5, 6], np.uint32),
-            np.array([0.1, -0.2, 0.3], np.float32),
-            np.array([1.0, 1.5, 2.0], np.float32))
+            np.array([0.1, -0.2, 0.3]), np.array([1.0, 1.5, 2.0]))
         again = EdgeList.from_bytes(e.to_bytes())
-        assert np.array_equal(again.src, e.src)
-        assert np.array_equal(again.tgt, e.tgt)
-        assert np.allclose(again.weight, e.weight)
-        assert np.allclose(again.delay, e.delay)
+        assert_edges_equal(NetworkSpec([], [], edges={"e": again}),
+                           NetworkSpec([], [], edges={"e": e}))
 
 
 class TestHashes:
