@@ -8,8 +8,11 @@ unchanged ``perfbench/run.py --trace 0`` of each tree from that tree's root,
 once per seed on each side, for the ``run_seconds`` that ``BENCHMARK.json``
 fixes.  The side that runs first alternates from pair to pair.  "change" is
 this checkout's working tree, uncommitted edits included; "ref" is REF.
-Prints each run's end-to-end metrics as it ends, then per metric both
-sides' median and quartiles, the pairs the change won, and two verdicts:
+Prints each run's end-to-end metrics as it ends, and after each pair
+whether the two runs' ``fingerprint <key> = <value>`` lines agree
+("fingerprints identical", or the keys that differ).  At the end it prints
+how many pairs had identical fingerprints, then per metric both sides'
+median and quartiles, the pairs the change won, and two verdicts:
 
 - claim: whether a claimed gain holds.  Over at least 10 pairs, the change
   wins at least 9 in 10 and its median beats REF's by more than REF's
@@ -29,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import statistics
 import subprocess
 import sys
@@ -36,6 +40,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+FINGERPRINT = re.compile(r"^fingerprint (\S+) = (\S+)", re.MULTILINE)
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -57,8 +62,10 @@ def export(ref: str, dest: Path) -> None:
         sys.exit(f"ab_pairs: git archive {ref} failed")
 
 
-def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result object that ``perfbench/run.py`` prints last."""
+def run(tree: Path, workload: str, seed: int,
+        seconds: float) -> tuple[dict, dict[str, str]]:
+    """The result object that ``perfbench/run.py`` prints last, and the
+    run's fingerprint as {key: value}."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -66,7 +73,7 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or not lines:
         sys.exit(f"ab_pairs: run in {tree} failed:\n{proc.stderr}")
-    return json.loads(lines[-1])
+    return json.loads(lines[-1]), dict(FINGERPRINT.findall(proc.stdout))
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -118,14 +125,16 @@ def main(argv=None) -> int:
     bound = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     values = {side: {name: [] for name in better} for side in ("ref", "change")}
     failed = {"ref": 0, "change": 0}
+    identical = 0
     with tempfile.TemporaryDirectory(prefix="ab_pairs_") as tmp:
         trees = {"ref": Path(tmp), "change": ROOT}
         export(args.ref, trees["ref"])
         for i, seed in enumerate(args.seeds):
             order = ("ref", "change") if i % 2 == 0 else ("change", "ref")
+            prints = {}
             for side in order:
-                result = run(trees[side], args.workload, seed,
-                             bench["run_seconds"])
+                result, prints[side] = run(trees[side], args.workload, seed,
+                                           bench["run_seconds"])
                 failed[side] += result["failed"]
                 metrics = {k: m["value"] for k, m in result["metrics"].items()}
                 for name in better:
@@ -134,9 +143,16 @@ def main(argv=None) -> int:
                       f"correct={result['correct']} " + " ".join(
                           f"{k}={v:.6g}" for k, v in metrics.items()),
                       flush=True)
+            differ = sorted(k for k in prints["ref"].keys() | prints["change"]
+                            if prints["ref"].get(k) != prints["change"].get(k))
+            identical += not differ
+            print(f"pair {i} seed {seed} fingerprints " + (
+                f"differ: {', '.join(differ)}" if differ else "identical"),
+                flush=True)
     print(f"\n{args.workload}, {len(args.seeds)} pairs against {args.ref}; "
           f"failed repetitions: ref {failed['ref']}, "
-          f"change {failed['change']}")
+          f"change {failed['change']}; fingerprints identical in "
+          f"{identical} of {len(args.seeds)} pairs")
     for name, direction in better.items():
         print(summary(name, direction, bound[name], values["ref"][name],
                       values["change"][name], failed))

@@ -28,6 +28,7 @@ from .network import (
     StimulusSpec,
     SynapseKind,
     WafersimError,
+    distinct_sources,
     ensure_sampled,
     from_fields,
 )
@@ -216,12 +217,8 @@ def substitute_poisson_pool(spec: NetworkSpec, pool_size: int,
             st.pool_group = group_id
             n_tgt = out.population(st.target).size
             if samples_per_target:
-                rng = stream("stim", seed, st.sid)
-                src = np.empty(n_tgt * samples_per_target, np.uint32)
-                for t in range(n_tgt):
-                    src[t * samples_per_target:(t + 1) * samples_per_target] = \
-                        rng.choice(pool_size, size=samples_per_target, replace=False)
-                tgt = np.repeat(np.arange(n_tgt, dtype=np.uint32), samples_per_target)
+                src, tgt = distinct_sources(stream("stim", seed, st.sid),
+                                            pool_size, samples_per_target, n_tgt)
                 out.stim_edges[st.sid] = EdgeList.from_arrays(src, tgt, weight, delay)
             else:
                 out.stim_edges[st.sid] = EdgeList.empty()

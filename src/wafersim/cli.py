@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .adaptation import AdaptationConfig
@@ -22,7 +23,6 @@ from .hardware import (
     capacity_report,
 )
 from .mapping import MappingMismatchError, PlacementOverflowError
-from .models import BrunelParams
 from .network import (
     WafersimError,
     ensure_sampled,
@@ -36,6 +36,7 @@ from .pipeline import (
     StageFailure,
     ValidationFailure,
     adapt_stage,
+    brunel_params,
     build_model,
     map_stage,
     run_pipeline,
@@ -54,9 +55,16 @@ _CAPACITY_ERRORS = (CapacityError, InfeasibleFanInError,
 
 
 def _load_config(args) -> dict:
+    """The ``--config`` document: pipeline config sections and ``sweep``."""
     if args.config is None:
         return {}
-    return json.loads(Path(args.config).read_text())
+    cfg = json.loads(Path(args.config).read_text())
+    if not isinstance(cfg, dict):
+        raise WafersimError(f"config {args.config} is not a JSON object")
+    unknown = set(cfg) - {f.name for f in fields(PipelineConfig)} - {"sweep"}
+    if unknown:
+        raise WafersimError(f"unknown config fields: {sorted(unknown)}")
+    return cfg
 
 
 def _out_dir(args) -> Path:
@@ -89,7 +97,7 @@ def cmd_adapt(args) -> int:
     spec = load_spec(args.spec)
     cfg = _load_config(args)
     adapt_cfg = AdaptationConfig.from_dict(
-        {"seed": args.seed, **cfg.get("adaptation", cfg)})
+        {"seed": args.seed, **(cfg.get("adaptation") or {})})
     _, report, artifacts = adapt_stage(spec, adapt_cfg, _out_dir(args))
     print(report.render_text())
     print(f"wrote {artifacts['adapted']}")
@@ -99,7 +107,7 @@ def cmd_adapt(args) -> int:
 def cmd_map(args) -> int:
     spec = ensure_sampled(load_spec(args.spec))
     cfg = _load_config(args)
-    topology = WaferTopology.from_dict(cfg.get("topology", cfg))
+    topology = WaferTopology.from_dict(cfg.get("topology") or {})
     _, result, cached, _ = map_stage(spec, topology, _out_dir(args))
     realized = sum(result.realized.values())
     print(f"mapped: {realized} of {result.total_requested()} synapses "
@@ -111,7 +119,7 @@ def cmd_map(args) -> int:
 def cmd_simulate(args) -> int:
     spec = ensure_sampled(load_spec(args.spec))
     cfg = _load_config(args)
-    sim = dict(cfg.get("simulation", cfg))
+    sim = dict(cfg.get("simulation") or {})
     sim.setdefault("seed", args.seed)
     if args.duration is not None:
         sim["duration"] = args.duration
@@ -143,7 +151,7 @@ def cmd_sweep(args) -> int:
     model_params.pop("g", None)
     model_params.pop("eta", None)
     base = SweepBaseConfig(
-        brunel=from_fields(BrunelParams, model_params, "brunel"),
+        brunel=brunel_params(model_params),
         adaptation=AdaptationConfig.from_dict(
             {"seed": args.seed, **cfg.get("adaptation", {})}),
         simulation=from_fields(
@@ -176,7 +184,7 @@ def cmd_bench(args) -> int:
 
 def cmd_wafer_report(args) -> int:
     cfg = _load_config(args)
-    topology = WaferTopology.from_dict(cfg.get("topology", cfg))
+    topology = WaferTopology.from_dict(cfg.get("topology") or {})
     doc = {
         "topology": topology.to_dict(),
         "n_asics": topology.n_asics,

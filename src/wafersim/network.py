@@ -15,6 +15,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import queue
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
@@ -343,7 +346,60 @@ def validate_network(spec: NetworkSpec) -> ValidationReport:
 
 # --- connectivity sampling --------------------------------------------------
 
-_ROW_CHUNK = 4_000_000  # pair draws per chunk, bounds memory during sampling
+_CHUNK = 4_000_000  # pair draws per chunk, bounds the uniform buffer's size
+# Threads that draw FixedProbability masks in ensure_sampled.  Each projection
+# draws from its own stream, so the edges do not depend on this number.
+_WORKERS = len(os.sched_getaffinity(0))
+
+
+def _draw_mask(rng: np.random.Generator, p: float, mask: np.ndarray,
+               buffers: queue.SimpleQueue) -> None:
+    """Fill the flat bool ``mask`` with ``rng``'s uniforms < ``p``, one chunk
+    at a time through a float64 buffer taken from (and returned to)
+    ``buffers``.  Allocates nothing, and ``Generator.random(out=)`` and
+    ``np.less(out=)`` release the GIL, so worker threads can run it."""
+    u = buffers.get()
+    try:
+        for a in range(0, len(mask), len(u)):
+            m = min(len(u), len(mask) - a)
+            rng.random(out=u[:m])
+            np.less(u[:m], p, out=mask[a:a + m])
+    finally:
+        buffers.put(u)
+
+
+def _mask_edges(proj: Projection, mask: np.ndarray, n_tgt: int,
+                recurrent: bool) -> EdgeList:
+    """The edges of a drawn (source-major) pair mask; a recurrent projection
+    drops its self-connections."""
+    src, tgt = np.divmod(np.flatnonzero(mask), n_tgt)
+    if recurrent:
+        keep = src != tgt
+        src, tgt = src[keep], tgt[keep]
+    return EdgeList.from_arrays(src, tgt, proj.weight, proj.delay)
+
+
+def _buffers(count: int, size: int) -> queue.SimpleQueue:
+    """A queue of ``count`` chunk buffers of ``min(size, _CHUNK)`` uniforms."""
+    buffers = queue.SimpleQueue()
+    for _ in range(count):
+        buffers.put(np.empty(max(1, min(size, _CHUNK)), np.float64))
+    return buffers
+
+
+def distinct_sources(rng: np.random.Generator, n: int, k: int, n_tgt: int,
+                     skip_self: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """``k`` distinct sources out of ``range(n)`` for each of ``n_tgt``
+    targets, one ``rng.choice(n, k, replace=False)`` per target in target
+    order.  For a target ``t < skip_self`` the draws ``>= t`` shift up by
+    one, so ``t`` is never its own source.  Returns (src, tgt) as uint32."""
+    src = np.empty(n_tgt * k, np.uint32)
+    for t in range(n_tgt):
+        draw = rng.choice(n, size=k, replace=False)
+        if t < skip_self:
+            draw = np.where(draw >= t, draw + 1, draw)
+        src[t * k:(t + 1) * k] = draw
+    return src, np.repeat(np.arange(n_tgt, dtype=np.uint32), k)
 
 
 def sample_connectivity(proj: Projection, sizes: tuple[int, int], seed: int,
@@ -360,23 +416,9 @@ def sample_connectivity(proj: Projection, sizes: tuple[int, int], seed: int,
         recurrent = proj.source == proj.target
     rng = stream("proj", seed, proj.pid)
     if isinstance(proj.connector, FixedProbability):
-        p = proj.connector.p
-        srcs, tgts = [], []
-        rows_per_chunk = max(1, _ROW_CHUNK // max(n_tgt, 1))
-        for row0 in range(0, n_src, rows_per_chunk):
-            rows = min(rows_per_chunk, n_src - row0)
-            mask = rng.random((rows, n_tgt)) < p
-            if recurrent:
-                idx = np.arange(rows)
-                diag = row0 + idx
-                valid = diag < n_tgt
-                mask[idx[valid], diag[valid]] = False
-            s, t = np.nonzero(mask)
-            srcs.append((s + row0).astype(np.uint32))
-            tgts.append(t.astype(np.uint32))
-        src = np.concatenate(srcs) if srcs else np.empty(0, np.uint32)
-        tgt = np.concatenate(tgts) if tgts else np.empty(0, np.uint32)
-        return EdgeList.from_arrays(src, tgt, proj.weight, proj.delay)
+        mask = np.empty(n_src * n_tgt, bool)
+        _draw_mask(rng, proj.connector.p, mask, _buffers(1, len(mask)))
+        return _mask_edges(proj, mask, n_tgt, recurrent)
     if isinstance(proj.connector, FixedInDegree):
         k = proj.connector.k
         available = n_src - 1 if recurrent else n_src
@@ -385,26 +427,69 @@ def sample_connectivity(proj: Projection, sizes: tuple[int, int], seed: int,
                 f"projection {proj.pid}: in-degree {k} > "
                 f"{available} available sources"
             )
-        src = np.empty(n_tgt * k, np.uint32)
-        for t in range(n_tgt):
-            draw = rng.choice(available, size=k, replace=False)
-            if recurrent and t < n_src:
-                draw = np.where(draw >= t, draw + 1, draw)  # skip self
-            src[t * k:(t + 1) * k] = draw
-        tgt = np.repeat(np.arange(n_tgt, dtype=np.uint32), k)
+        src, tgt = distinct_sources(rng, available, k, n_tgt,
+                                    skip_self=n_src if recurrent else 0)
         return EdgeList.from_arrays(src, tgt, proj.weight, proj.delay)
     raise WafersimError(f"projection {proj.pid}: connector is not samplable")
 
 
+def _drawn_masks(todo: list[Projection], sizes, seed: int):
+    """Yield the flat pair mask of each FixedProbability projection in
+    ``todo``, in order.  ``_WORKERS`` threads draw them ahead, at most
+    ``_WORKERS + 1`` masks at a time; this thread allocates every mask and
+    chunk buffer, so the workers allocate nothing that outlives a draw."""
+    buffers = _buffers(_WORKERS, max(a * b for a, b in map(sizes, todo)))
+    ahead = iter(todo)
+    drawing = deque()  # (mask, future), in todo order
+    with ThreadPoolExecutor(_WORKERS) as pool:
+        def draw_next():
+            pr = next(ahead, None)
+            if pr is not None:
+                n_src, n_tgt = sizes(pr)
+                mask = np.empty(n_src * n_tgt, bool)
+                drawing.append((mask, pool.submit(
+                    _draw_mask, stream("proj", seed, pr.pid),
+                    pr.connector.p, mask, buffers)))
+
+        for _ in range(_WORKERS + 1):
+            draw_next()
+        while drawing:
+            mask, drawn = drawing.popleft()
+            drawn.result()
+            yield mask
+            del mask
+            draw_next()
+
+
 def ensure_sampled(spec: NetworkSpec) -> NetworkSpec:
-    """Sample any unsampled probabilistic projections in place (idempotent)."""
+    """Sample any unsampled probabilistic projections in place (idempotent).
+
+    The FixedProbability masks come from ``_drawn_masks``; this thread
+    builds every edge list and inserts them in projection order, so the
+    edges equal ``sample_connectivity``'s for any number of threads."""
+    def sizes(pr):
+        return spec.population(pr.source).size, spec.population(pr.target).size
+
+    # the projections the loop below draws from masks, in the order it
+    # meets them
+    todo, seen = [], set(spec.edges)
+    for pr in spec.projections:
+        if pr.pid not in seen:
+            seen.add(pr.pid)
+            if isinstance(pr.connector, FixedProbability):
+                todo.append(pr)
+    # a generator: no thread starts unless a mask is drawn
+    masks = _drawn_masks(todo, sizes, spec.seed)
+    drawn = {pr.pid for pr in todo}
     for pr in spec.projections:
         if isinstance(pr.connector, ExplicitList):
             spec.edges.setdefault(pr.pid, EdgeList.empty())
-            continue
-        if pr.pid not in spec.edges:
-            sizes = (spec.population(pr.source).size, spec.population(pr.target).size)
-            spec.edges[pr.pid] = sample_connectivity(pr, sizes, spec.seed)
+        elif pr.pid in drawn:
+            drawn.remove(pr.pid)
+            spec.edges[pr.pid] = _mask_edges(pr, next(masks), sizes(pr)[1],
+                                             pr.source == pr.target)
+        elif pr.pid not in spec.edges:
+            spec.edges[pr.pid] = sample_connectivity(pr, sizes(pr), spec.seed)
     return spec
 
 

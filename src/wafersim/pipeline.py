@@ -93,15 +93,21 @@ class PipelineConfig:
         }
 
 
+def brunel_params(params: dict) -> BrunelParams:
+    """The ``BrunelParams`` of a config's ``model.params``; its ``neuron``
+    section becomes ``NeuronParameters``."""
+    params = dict(params)
+    if "neuron" in params:
+        params["neuron"] = from_fields(NeuronParameters, params["neuron"],
+                                       "neuron")
+    return from_fields(BrunelParams, params, "brunel")
+
+
 def build_model(model: dict, seed: int) -> NetworkSpec:
     name = model.get("name")
-    params = dict(model.get("params", {}))
+    params = model.get("params", {})
     if name == "brunel":
-        if "neuron" in params:
-            params["neuron"] = from_fields(NeuronParameters, params["neuron"],
-                                           "neuron")
-        return build_brunel(from_fields(BrunelParams, params, "brunel"),
-                            seed=seed)
+        return build_brunel(brunel_params(params), seed=seed)
     if name == "microcircuit":
         return build_microcircuit(
             from_fields(MicrocircuitParams, params, "microcircuit"), seed=seed)

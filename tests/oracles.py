@@ -6,6 +6,9 @@ formulas.  The analysis oracles compute CV of ISI and the synchrony index
 the direct way (one mask per neuron, a dense neurons x bins matrix), sharing
 no code with ``wafersim.analysis``.  The placement oracle packs neuron by
 neuron, sharing no code with ``wafersim.hardware`` or ``wafersim.mapping``.
+The connectivity oracle draws a FixedProbability projection as one dense
+(rows x targets) uniform matrix per chunk of rows and takes its 2-D nonzero
+positions, sharing only the random stream with ``wafersim.network``.
 The CSV oracles are the ``%``-formatting writers that the vectorised ones
 replaced.  The last helpers are small derived quantities that only tests
 use.
@@ -18,8 +21,9 @@ import numpy as np
 
 from wafersim.engine import _record_header
 from wafersim.models import load_microcircuit_data
-from wafersim.network import SynapseKind
+from wafersim.network import EdgeList, SynapseKind
 from wafersim.psp import psp_peak_current
+from wafersim.rngtools import stream
 
 
 def dense_psp_peak_current(weight, tau_m, tau_syn, c_m,
@@ -128,6 +132,36 @@ def next_fit_placement(fan_ins, population_sizes, fanin_per_circuit,
         per_population.append(asics)
         start += size
     return circuits, neuron_asic, used, per_population
+
+
+_ROW_CHUNK = 4_000_000  # pair draws per chunk, bounds memory during sampling
+
+
+def sample_fixed_probability_dense(proj, sizes, seed, recurrent=None):
+    """The edges of the FixedProbability projection ``proj``: each ordered
+    (src, tgt) pair drawn with probability p from the projection's stream,
+    self-connections excluded for recurrent projections."""
+    n_src, n_tgt = sizes
+    if recurrent is None:
+        recurrent = proj.source == proj.target
+    rng = stream("proj", seed, proj.pid)
+    p = proj.connector.p
+    srcs, tgts = [], []
+    rows_per_chunk = max(1, _ROW_CHUNK // max(n_tgt, 1))
+    for row0 in range(0, n_src, rows_per_chunk):
+        rows = min(rows_per_chunk, n_src - row0)
+        mask = rng.random((rows, n_tgt)) < p
+        if recurrent:
+            idx = np.arange(rows)
+            diag = row0 + idx
+            valid = diag < n_tgt
+            mask[idx[valid], diag[valid]] = False
+        s, t = np.nonzero(mask)
+        srcs.append((s + row0).astype(np.uint32))
+        tgts.append(t.astype(np.uint32))
+    src = np.concatenate(srcs) if srcs else np.empty(0, np.uint32)
+    tgt = np.concatenate(tgts) if tgts else np.empty(0, np.uint32)
+    return EdgeList.from_arrays(src, tgt, proj.weight, proj.delay)
 
 
 def save_spikes_csv(record, path):

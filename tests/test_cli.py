@@ -133,6 +133,33 @@ class TestStageCommands:
         assert code == EXIT_VALIDATION
         assert key in capsys.readouterr().err
 
+    # a full pipeline config without the section a command reads: that
+    # section's defaults, not the whole document taken as the section
+    @pytest.mark.parametrize("command,spec", [("adapt", "spec.json"),
+                                              ("map", "adapted.json"),
+                                              ("simulate", "spec.json")])
+    def test_config_without_section_uses_defaults(self, built, command, spec):
+        if command == "map":
+            assert main(["adapt", str(built / "spec.json"),
+                         "--out-dir", str(built)]) == EXIT_OK
+        cfg = write_config(built, {"model": {"name": "brunel", "params": {
+            "n_total": 200}}, "seed": 0}, name="full.json")
+        duration = ["--duration", "50"] if command == "simulate" else []
+        assert main([command, str(built / spec), "--out-dir", str(built),
+                     "--config", cfg, *duration]) == EXIT_OK
+
+    @pytest.mark.parametrize("command", ["adapt", "map", "simulate", "wafer"])
+    def test_unknown_top_level_key_exit_2(self, built, capsys, command):
+        cfg = write_config(built, {"modell": {}}, name="typo.json")
+        args = {"adapt": ["adapt", str(built / "spec.json")],
+                "map": ["map", str(built / "spec.json")],
+                "simulate": ["simulate", str(built / "spec.json")],
+                "wafer": ["wafer", "report"]}[command]
+        capsys.readouterr()
+        code = main([*args, "--out-dir", str(built), "--config", cfg])
+        assert code == EXIT_VALIDATION
+        assert "modell" in capsys.readouterr().err
+
     def test_truncated_spec_exit_2(self, built):
         spec = built / "spec.json"
         spec.write_text(spec.read_text()[:100])
@@ -175,12 +202,28 @@ class TestSweepBenchWafer:
         cfg = write_config(tmp_path, {
             "model": {"params": {"n_total": 200}},
             "simulation": {"duration": 400.0},
+            "analysis": {"window_start": 100.0},
         })
         code = main(["sweep", "--g", "4,6", "--eta", "2", "--out-dir",
                      str(tmp_path), "--config", cfg])
         assert code == EXIT_OK
         lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 3
+        assert not any(line.endswith(",failed") for line in lines)
+
+    def test_sweep_with_neuron_params(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "model": {"name": "brunel", "params": {
+                "n_total": 200, "neuron": {"tau_m": 20.0}}},
+            "simulation": {"duration": 400.0},
+            "analysis": {"window_start": 100.0},
+        })
+        code = main(["sweep", "--g", "4", "--eta", "2", "--out-dir",
+                     str(tmp_path), "--config", cfg])
+        assert code == EXIT_OK
+        assert "partial" not in capsys.readouterr().err
+        header, row = (tmp_path / "sweep.csv").read_text().strip().splitlines()
+        assert not row.endswith(",failed")
 
     def test_bench_runs_default(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {

@@ -1,14 +1,18 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import sample_fixed_probability_dense
+from wafersim import network
 from wafersim.models import BrunelParams, build_brunel
 from wafersim.network import (
     EDGE_DTYPE,
     EdgeList,
+    ExplicitList,
     FixedInDegree,
     FixedProbability,
     InfeasibleInDegreeError,
@@ -144,6 +148,125 @@ class TestSampling:
         edges = sample_connectivity(proj, (n_src, n_tgt), seed=seed)
         if len(edges):
             assert edges.src.max() < n_src and edges.tgt.max() < n_tgt
+
+
+def assert_same_edges(got, want):
+    for name in ("src", "tgt", "weight", "delay"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
+class TestSamplerAgainstDenseOracle:
+    """The chunked flat-mask sampler draws exactly the edges of the dense
+    per-pair oracle, wherever the chunk boundaries fall."""
+
+    # with a 100-draw chunk: pair counts below, at and +-1 around multiples
+    @pytest.mark.parametrize("sizes", [(1, 37), (9, 11), (10, 10), (101, 1),
+                                       (1, 199), (20, 10), (3, 67), (10, 30)])
+    @pytest.mark.parametrize("recurrent", [False, True])
+    @pytest.mark.parametrize("p", [0.0, 0.15, 1.0])
+    def test_small_chunk(self, monkeypatch, sizes, recurrent, p):
+        monkeypatch.setattr(network, "_CHUNK", 100)
+        proj = Projection("a->b", "a", "b", FixedProbability(p), 0.1, 1.0,
+                          SynapseKind.CURRENT_EXP)
+        assert_same_edges(
+            sample_connectivity(proj, sizes, seed=4, recurrent=recurrent),
+            sample_fixed_probability_dense(proj, sizes, seed=4,
+                                           recurrent=recurrent))
+
+    @pytest.mark.parametrize("source,sizes", [
+        ("a", (2000, 2000)),
+        ("b", (1, network._CHUNK - 1)),
+        ("b", (1, network._CHUNK + 1)),
+    ])
+    def test_module_chunk(self, source, sizes):
+        proj = Projection(f"{source}->a", source, "a", FixedProbability(0.15),
+                          0.1, 1.0, SynapseKind.CURRENT_EXP)
+        assert_same_edges(sample_connectivity(proj, sizes, seed=7),
+                          sample_fixed_probability_dense(proj, sizes, seed=7))
+
+
+def mixed_spec(seed=3):
+    """Recurrent and feed-forward FixedProbability projections between
+    FixedInDegree and ExplicitList ones."""
+    pops = [Population(name, size, NeuronParameters(), sign)
+            for name, size, sign in (("e", 120, Sign.EXCITATORY),
+                                     ("i", 45, Sign.INHIBITORY),
+                                     ("d", 7, Sign.EXCITATORY))]
+    kind = SynapseKind.CURRENT_EXP
+    projs = [
+        Projection("d->e", "d", "e", ExplicitList(), 0.1, 1.0, kind),
+        Projection("e->e", "e", "e", FixedProbability(0.1), 0.05, 1.5, kind),
+        Projection("e->i", "e", "i", FixedInDegree(12), 0.05, 1.5, kind),
+        Projection("i->e", "i", "e", FixedProbability(0.3), -0.2, 1.5, kind),
+        Projection("i->i", "i", "i", FixedProbability(1.0), -0.2, 1.5, kind),
+        Projection("d->i", "d", "i", ExplicitList(), 0.1, 1.0, kind),
+        Projection("e->d", "e", "d", FixedProbability(0.0), 0.05, 1.5, kind),
+        Projection("i->d", "i", "d", FixedInDegree(3), -0.2, 1.5, kind),
+        Projection("d->d", "d", "d", FixedProbability(0.5), 0.1, 1.0, kind),
+    ]
+    return NetworkSpec(populations=pops, projections=projs, stimuli=[],
+                       seed=seed)
+
+
+class TestEnsureSampled:
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_edges_independent_of_worker_count(self, monkeypatch, workers):
+        monkeypatch.setattr(network, "_WORKERS", workers)
+        spec = ensure_sampled(mixed_spec())
+        for pr in spec.projections:
+            sizes = (spec.population(pr.source).size,
+                     spec.population(pr.target).size)
+            if isinstance(pr.connector, ExplicitList):
+                assert len(spec.edges[pr.pid]) == 0
+            elif isinstance(pr.connector, FixedProbability):
+                assert_same_edges(spec.edges[pr.pid],
+                                  sample_fixed_probability_dense(
+                                      pr, sizes, spec.seed))
+            else:
+                assert_same_edges(spec.edges[pr.pid],
+                                  sample_connectivity(pr, sizes, spec.seed))
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_edges_keep_projection_order(self, monkeypatch, workers):
+        monkeypatch.setattr(network, "_WORKERS", workers)
+        spec = ensure_sampled(mixed_spec())
+        assert list(spec.edges) == [pr.pid for pr in spec.projections]
+
+    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
+        # eight workers share the chunk-buffer queue; a buffer handed to two
+        # draws at once would corrupt one of the masks
+        monkeypatch.setattr(network, "_WORKERS", 8)
+        monkeypatch.setattr(network, "_CHUNK", 4096)
+        pops = [Population(f"p{i}", 300 + 50 * i, NeuronParameters(),
+                           Sign.EXCITATORY) for i in range(5)]
+        projs = [Projection(f"p{a}->p{b}", f"p{a}", f"p{b}",
+                            FixedProbability(0.05 * (1 + a + b)), 0.05, 1.5,
+                            SynapseKind.CURRENT_EXP)
+                 for a in range(5) for b in range(5)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            spec = ensure_sampled(NetworkSpec(populations=pops,
+                                              projections=projs, stimuli=[],
+                                              seed=5))
+        finally:
+            sys.setswitchinterval(switch)
+        for pr in projs:
+            sizes = (spec.population(pr.source).size,
+                     spec.population(pr.target).size)
+            assert_same_edges(spec.edges[pr.pid],
+                              sample_fixed_probability_dense(pr, sizes, 5))
+
+    def test_keeps_edges_already_sampled(self):
+        spec = mixed_spec()
+        given = EdgeList.from_arrays([0, 1], [2, 3], 0.05, 1.5)
+        spec.edges["i->e"] = given
+        ensure_sampled(spec)
+        assert spec.edges["i->e"] is given
+        assert list(spec.edges) == ["i->e"] + [
+            pr.pid for pr in spec.projections if pr.pid != "i->e"]
 
 
 class TestValidation:
