@@ -6,12 +6,17 @@ downscale -> linear weight compensation -> input substitution (Poisson pool or
 leak shift) -> current-to-conductance conversion -> synaptic time-constant
 clamping -> per-neuron parameter variation.  Weight compensation must precede
 conductance conversion so PSP matching targets the compensated weights.
+
+The steps that rescale weights (linear compensation, conversion, clamping)
+each supply a rule to one pass, ``_rescale_weights``, which learns each
+synapse's channel from ``network.inhibitory_channel``, the rule the engine
+delivers by.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import asdict, dataclass, field, fields, replace as dc_replace
 from typing import Optional
 
 import numpy as np
@@ -23,7 +28,6 @@ from .network import (
     FixedProbability,
     NetworkSpec,
     NeuronParameters,
-    Sign,
     StimulusKind,
     StimulusSpec,
     SynapseKind,
@@ -31,6 +35,7 @@ from .network import (
     distinct_sources,
     ensure_sampled,
     from_fields,
+    inhibitory_channel,
 )
 from .psp import psp_shape_factor
 from .rngtools import stream
@@ -62,15 +67,7 @@ class StepRecord:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "neurons_before": self.neurons_before,
-            "neurons_after": self.neurons_after,
-            "synapses_before": self.synapses_before,
-            "synapses_after": self.synapses_after,
-            "seed": self.seed,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -113,6 +110,25 @@ def _record(name: str, before: tuple[int, float], spec: NetworkSpec,
     n_after, s_after = _counts(spec)
     return StepRecord(name, before[0], n_after, before[1], s_after,
                       seed=seed, details=details)
+
+
+def _rescale_weights(spec: NetworkSpec, rule) -> None:
+    """Set the weight of every projection and stimulus of ``spec``, and the
+    weights of its edge list, to ``rule(target population, inhibitory,
+    weights)``; ``inhibitory`` is ``inhibitory_channel`` of those weights."""
+    conductance = SynapseKind.CONDUCTANCE_EXP in spec.synapse_kinds()
+    synapses = [(pr, pr.pid, spec.edges, pr.kind == SynapseKind.CONDUCTANCE_EXP,
+                 spec.population(pr.source).sign) for pr in spec.projections]
+    synapses += [(st, st.sid, spec.stim_edges, conductance, None)
+                 for st in spec.stimuli]
+    for syn, key, table, cond, sign in synapses:
+        pop = spec.population(syn.target)
+        syn.weight = float(rule(pop, inhibitory_channel(syn.weight, cond, sign),
+                                syn.weight))
+        e = table.get(key)
+        if e is not None and len(e):
+            e.weight = rule(pop, inhibitory_channel(e.weight, cond, sign),
+                            e.weight)
 
 
 # --- individual steps ---------------------------------------------------------
@@ -170,18 +186,11 @@ def scale_weights_linear(spec: NetworkSpec, indegree_scale: float
     before = _counts(spec)
     out = copy.deepcopy(spec)
     factor = 1.0 / indegree_scale
-    for pr in out.projections:
-        pr.weight *= factor
-    for e in out.edges.values():
-        e.weight *= factor
+    _rescale_weights(out, lambda pop, inh, w: w * factor)
     external = {}
     for st in out.stimuli:
-        if st.kind in (StimulusKind.POISSON_PER_NEURON, StimulusKind.POISSON_POOL):
-            st.rate *= indegree_scale
-            st.weight *= factor
-            external[st.sid] = {"rate": st.rate, "weight": st.weight}
-    for e in out.stim_edges.values():
-        e.weight *= factor
+        st.rate *= indegree_scale
+        external[st.sid] = {"rate": st.rate, "weight": st.weight}
     return out, _record("scale_weights_linear", before, out,
                         weight_factor=factor, external_drive=external)
 
@@ -259,56 +268,45 @@ def replace_input_with_leak_shift(spec: NetworkSpec
                         delta_v_per_population=shifts)
 
 
-def _assumed_mean_v(spec: NetworkSpec, override: Optional[dict]) -> dict[str, float]:
-    out = {}
-    for pop in spec.populations:
-        if override and pop.pid in override:
-            out[pop.pid] = override[pop.pid]
-        else:
-            out[pop.pid] = 0.5 * (pop.params.v_rest + pop.params.v_thresh)
-    return out
-
-
 def convert_current_to_conductance(spec: NetworkSpec,
                                    assumed_mean_v: Optional[dict] = None
                                    ) -> tuple[NetworkSpec, StepRecord]:
     """Convert every current-based weight w to a conductance w/(E_rev - V)
-    evaluated at the assumed mean membrane potential of the target."""
+    evaluated at the assumed mean membrane potential of the target.  A
+    stimulus has no source population to carry an inhibitory sign in
+    conductance mode, so an inhibitory stimulus raises ``WafersimError``."""
     before = _counts(spec)
     out = copy.deepcopy(spec)
     if out.synapse_kinds() - {SynapseKind.CURRENT_EXP}:
         raise WafersimError("conversion requires all projections current-based")
-    v_mean = _assumed_mean_v(out, assumed_mean_v)
-    factors = {}
+    negative = [st.sid for st in out.stimuli
+                if inhibitory_channel(st.weight, False)]
+    if negative:
+        raise WafersimError(
+            f"stimuli {negative} have negative weights; an inhibitory "
+            f"stimulus cannot be converted to conductance")
+    v_mean = {pop.pid: 0.5 * (pop.params.v_rest + pop.params.v_thresh)
+              for pop in out.populations}
+    v_mean.update(assumed_mean_v or {})
 
-    def driving_force(pop, depolarizing: bool) -> float:
-        e_rev = pop.params.e_rev_exc if depolarizing else pop.params.e_rev_inh
-        df = e_rev - v_mean[pop.pid]
-        if abs(df) < 1e-9:
+    def driving_force(pop, inhibitory):
+        v = v_mean[pop.pid]
+        df = np.where(inhibitory, pop.params.e_rev_inh - v,
+                      pop.params.e_rev_exc - v)
+        if np.any(np.abs(df) < 1e-9):
             raise SingularDrivingForceError(
                 f"assumed mean voltage equals reversal potential for {pop.pid}"
             )
         return df
 
+    factors = {
+        pr.pid: 1.0 / float(driving_force(out.population(pr.target),
+                                          inhibitory_channel(pr.weight, False)))
+        for pr in out.projections
+    }
+    _rescale_weights(out, lambda pop, inh, w: w / driving_force(pop, inh))
     for pr in out.projections:
-        pop = out.population(pr.target)
-        df = driving_force(pop, depolarizing=pr.weight >= 0)
-        pr.weight = pr.weight / df
         pr.kind = SynapseKind.CONDUCTANCE_EXP
-        factors[pr.pid] = 1.0 / df
-        e = out.edges.get(pr.pid)
-        if e is not None and len(e):
-            df_e = np.where(e.weight >= 0, driving_force(pop, True),
-                            driving_force(pop, False))
-            e.weight = e.weight / df_e
-    for st in out.stimuli:
-        if st.kind in (StimulusKind.POISSON_PER_NEURON, StimulusKind.POISSON_POOL):
-            pop = out.population(st.target)
-            df = driving_force(pop, depolarizing=st.weight >= 0)
-            st.weight = st.weight / df
-            e = out.stim_edges.get(st.sid)
-            if e is not None and len(e):
-                e.weight = e.weight / df
     return out, _record("convert_current_to_conductance", before, out,
                         assumed_mean_v=v_mean, weight_factors=factors)
 
@@ -322,42 +320,25 @@ def clamp_time_constants(spec: NetworkSpec, min_tau_syn: float
     before = _counts(spec)
     out = copy.deepcopy(spec)
     affected = {}
-    rescale: dict[tuple[str, str], float] = {}  # (target pid, channel) -> factor
+    rescale = {}  # target pid -> (excitatory, inhibitory) weight factor
     for pop in out.populations:
         # copy before mutating: populations may share a params object
         pop.params = dc_replace(pop.params)
-        for chan, attr in (("exc", "tau_syn_exc"), ("inh", "tau_syn_inh")):
+        factors = []
+        for attr in ("tau_syn_exc", "tau_syn_inh"):
             tau = getattr(pop.params, attr)
+            factor = 1.0
             if tau < min_tau_syn:
                 factor = (psp_shape_factor(pop.params.tau_m, tau)
                           / psp_shape_factor(pop.params.tau_m, min_tau_syn))
                 setattr(pop.params, attr, min_tau_syn)
-                rescale[(pop.pid, chan)] = factor
                 affected.setdefault(pop.pid, {})[attr] = {
                     "from": tau, "to": min_tau_syn, "weight_factor": factor,
                 }
-
-    def channel_of(weight, source_sign, kind):
-        if kind == SynapseKind.CURRENT_EXP:
-            return "exc" if weight >= 0 else "inh"
-        return "exc" if source_sign == Sign.EXCITATORY else "inh"
-
-    for pr in out.projections:
-        chan = channel_of(pr.weight, out.population(pr.source).sign, pr.kind)
-        factor = rescale.get((pr.target, chan))
-        if factor:
-            pr.weight *= factor
-            e = out.edges.get(pr.pid)
-            if e is not None and len(e):
-                e.weight *= factor
-    for st in out.stimuli:
-        if st.kind in (StimulusKind.POISSON_PER_NEURON, StimulusKind.POISSON_POOL):
-            factor = rescale.get((st.target, "exc"))
-            if factor:
-                st.weight *= factor
-                e = out.stim_edges.get(st.sid)
-                if e is not None and len(e):
-                    e.weight *= factor
+            factors.append(factor)
+        rescale[pop.pid] = factors
+    _rescale_weights(out, lambda pop, inh, w: w * np.where(
+        inh, rescale[pop.pid][1], rescale[pop.pid][0]))
     return out, _record("clamp_time_constants", before, out,
                         min_tau_syn=min_tau_syn, affected=affected)
 
@@ -374,7 +355,7 @@ def apply_parameter_variation(spec: NetworkSpec, cv_map: dict[str, float],
     for name, cv in cv_map.items():
         if cv < 0:
             raise VariationError(f"cv for {name} must be >= 0")
-        if name not in NeuronParameters.VARIABLE_FIELDS:
+        if name not in {f.name for f in fields(NeuronParameters)}:
             raise VariationError(f"unknown neuron parameter '{name}'")
     before = _counts(spec)
     out = copy.deepcopy(spec)
@@ -448,20 +429,6 @@ class AdaptationConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "AdaptationConfig":
         return from_fields(cls, doc, "adaptation")
-
-    def to_dict(self) -> dict:
-        return {
-            "neuron_scale": self.neuron_scale,
-            "indegree_scale": self.indegree_scale,
-            "weight_compensation": self.weight_compensation,
-            "conductance_conversion": self.conductance_conversion,
-            "assumed_mean_v": self.assumed_mean_v,
-            "poisson_pool": self.poisson_pool,
-            "leak_shift_input": self.leak_shift_input,
-            "min_tau_syn": self.min_tau_syn,
-            "variation": dict(self.variation),
-            "seed": self.seed,
-        }
 
 
 def adapt_pipeline(spec: NetworkSpec, config: AdaptationConfig

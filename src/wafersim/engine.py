@@ -42,7 +42,7 @@ import re
 import struct
 import time as _time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Union
 
@@ -51,11 +51,12 @@ import numpy as np
 from .network import (
     NetworkSpec,
     NeuronParameters,
-    Sign,
     StimulusKind,
     SynapseKind,
     WafersimError,
     ensure_sampled,
+    inhibitory_channel,
+    json_digest,
 )
 from .rngtools import stream
 
@@ -88,19 +89,10 @@ class SimulationConfig:
             raise ValueError(f"at most {MAX_PROBES} membrane probes")
 
     def to_dict(self) -> dict:
-        return {
-            "dt": self.dt,
-            "duration": self.duration,
-            "seed": self.seed,
-            "record_populations": self.record_populations,
-            "membrane_probes": list(self.membrane_probes),
-        }
+        return asdict(self)
 
     def content_hash(self) -> str:
-        import hashlib
-        return hashlib.blake2b(
-            json.dumps(self.to_dict(), sort_keys=True).encode(), digest_size=16,
-        ).hexdigest()
+        return json_digest(self.to_dict())
 
 
 @dataclass
@@ -153,10 +145,8 @@ class _Engine:
             raise WafersimError("mixed synapse kinds are not supported")
         self.conductance = kinds == {SynapseKind.CONDUCTANCE_EXP}
 
-        for name in ("tau_m", "tau_ref", "tau_syn_exc", "tau_syn_inh", "v_rest",
-                     "v_reset", "v_thresh", "e_rev_exc", "e_rev_inh", "c_m",
-                     "i_offset"):
-            setattr(self, name, _concat_param(spec, name).copy())
+        for f in fields(NeuronParameters):
+            setattr(self, f.name, _concat_param(spec, f.name).copy())
         self.offsets = spec.population_offsets()
 
         self.g_leak = self.c_m / self.tau_m  # uS
@@ -214,10 +204,8 @@ class _Engine:
                 continue
             srcs.append(offsets[pr.source] + e.src.astype(np.int64))
             ws.append(e.weight)
-            if self.conductance:
-                chan = int(spec.population(pr.source).sign == Sign.INHIBITORY)
-            else:
-                chan = e.weight < 0
+            chan = inhibitory_channel(e.weight, self.conductance,
+                                      spec.population(pr.source).sign)
             flats.append(self._flat(self._delay_steps(e.delay), chan,
                                     offsets[pr.target] + e.tgt.astype(np.int64)))
         self.edges = self._edge_table(self.n, _concat(srcs, np.int64),
@@ -228,8 +216,7 @@ class _Engine:
         """One edge table per Poisson drive.  A per-neuron stimulus is a pool
         whose source j drives only the j-th neuron of its target population;
         a shared pool group joins the edges of all its stimuli.  Each drive
-        keeps the random stream of its stimulus or group, and a negative
-        weight uses the inhibitory channel."""
+        keeps the random stream of its stimulus or group."""
         spec, offsets = self.spec, self.offsets
         self.drives = []  # (stream key, sources, mean count per step, table)
 
@@ -246,8 +233,9 @@ class _Engine:
                 add(("stim", st.sid), s, st.rate * 1e-3, j,
                     np.full(s, float(st.weight)),
                     self._flat(self._delay_steps(np.array([st.delay])),
-                               int(st.weight < 0), offsets[st.target] + j))
-            elif st.kind == StimulusKind.POISSON_POOL:
+                               inhibitory_channel(st.weight, self.conductance),
+                               offsets[st.target] + j))
+            else:
                 gid = st.pool_group or st.sid
                 pool = pools.setdefault(gid, {
                     "size": st.pool_size, "rate_ms": st.rate * 1e-3,
@@ -262,7 +250,8 @@ class _Engine:
                     pool["src"].append(e.src.astype(np.int64))
                     pool["w"].append(e.weight)
                     pool["flat"].append(self._flat(
-                        self._delay_steps(e.delay), e.weight < 0,
+                        self._delay_steps(e.delay),
+                        inhibitory_channel(e.weight, self.conductance),
                         offsets[st.target] + e.tgt.astype(np.int64)))
         for gid in sorted(pools):
             p = pools[gid]

@@ -15,7 +15,13 @@ from typing import Optional
 
 import numpy as np
 
-from .network import NetworkSpec, WafersimError, from_fields, in_degree_array
+from .network import (
+    NetworkSpec,
+    WafersimError,
+    from_fields,
+    in_degree_array,
+    json_digest,
+)
 
 
 class InfeasibleFanInError(WafersimError):
@@ -85,11 +91,7 @@ class WaferTopology:
         return from_fields(cls, doc, "topology")
 
     def content_hash(self) -> str:
-        import hashlib
-        import json
-        return hashlib.blake2b(
-            json.dumps(self.to_dict(), sort_keys=True).encode(), digest_size=16,
-        ).hexdigest()
+        return json_digest(self.to_dict())
 
 
 def circuits_needed(fan_in, topology: WaferTopology):

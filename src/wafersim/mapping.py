@@ -14,6 +14,7 @@ placement is restricted by the availability mask.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 from dataclasses import dataclass, field
@@ -129,12 +130,22 @@ def _norm_edge(u, v):
     return (u, v) if u <= v else (v, u)
 
 
+def _asic_pairs(placement: Placement, offsets: dict[str, int], pr, e
+                ) -> np.ndarray:
+    """The (source ASIC, target ASIC) pair of each edge ``e`` of projection
+    ``pr``, as the key ``source * n_asics + target``."""
+    sa = placement.neuron_asic[offsets[pr.source] + e.src]
+    ta = placement.neuron_asic[offsets[pr.target] + e.tgt]
+    return sa * len(placement.asic_used) + ta
+
+
 def route(spec: NetworkSpec, placement: Placement, topology: WaferTopology
           ) -> MappingResult:
     """Allocate shared (source ASIC -> target ASIC) routes and account loss."""
     ensure_sampled(spec)
     offsets = spec.population_offsets()
     coords = topology.asic_coords()
+    n_asics = len(placement.asic_used)
     # demand per (src asic, tgt asic): total synapses, per projection
     pair_proj_counts: dict[tuple[int, int], dict[str, int]] = {}
     requested = {}
@@ -143,12 +154,10 @@ def route(spec: NetworkSpec, placement: Placement, topology: WaferTopology
         requested[pr.pid] = len(e)
         if not len(e):
             continue
-        sa = placement.neuron_asic[offsets[pr.source] + e.src]
-        ta = placement.neuron_asic[offsets[pr.target] + e.tgt]
-        pairs = sa.astype(np.int64) * len(coords) + ta
-        uniq, counts = np.unique(pairs, return_counts=True)
+        uniq, counts = np.unique(_asic_pairs(placement, offsets, pr, e),
+                                 return_counts=True)
         for key, cnt in zip(uniq.tolist(), counts.tolist()):
-            pair = (key // len(coords), key % len(coords))
+            pair = divmod(key, n_asics)
             pair_proj_counts.setdefault(pair, {})[pr.pid] = cnt
     inter_pairs = sorted(p for p in pair_proj_counts if p[0] != p[1])
     edge_seen: dict = {}
@@ -198,21 +207,18 @@ def apply_loss(spec: NetworkSpec, result: MappingResult) -> NetworkSpec:
     """Remove the lost edges; the returned spec is what the simulator runs."""
     if result.spec_hash != mapping_relevant_hash(spec):
         raise MappingMismatchError("mapping result was computed for a different spec")
-    import copy
-
     out = copy.deepcopy(spec)
     if not result.lost_pairs:
         return out
     offsets = out.population_offsets()
-    lost_keys = {a * 10**6 + b for a, b in result.lost_pairs}
+    n_asics = len(result.placement.asic_used)
+    lost = np.zeros(n_asics * n_asics, dtype=bool)  # by _asic_pairs key
+    lost[[a * n_asics + b for a, b in result.lost_pairs]] = True
     for pr in out.projections:
         e = out.edges[pr.pid]
         if not len(e) or result.lost[pr.pid] == 0:
             continue
-        sa = result.placement.neuron_asic[offsets[pr.source] + e.src]
-        ta = result.placement.neuron_asic[offsets[pr.target] + e.tgt]
-        keys = sa.astype(np.int64) * 10**6 + ta
-        keep = ~np.isin(keys, np.fromiter(lost_keys, dtype=np.int64))
+        keep = ~lost[_asic_pairs(result.placement, offsets, pr, e)]
         out.edges[pr.pid] = type(e)(
             e.src[keep], e.tgt[keep], e.weight[keep], e.delay[keep])
     return out

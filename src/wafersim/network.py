@@ -69,11 +69,6 @@ class NeuronParameters:
     c_m: float = 0.25  # nF
     i_offset: float = 0.0  # nA
 
-    VARIABLE_FIELDS = (
-        "tau_m", "tau_ref", "tau_syn_exc", "tau_syn_inh", "v_rest",
-        "v_reset", "v_thresh", "e_rev_exc", "e_rev_inh", "c_m", "i_offset",
-    )
-
     def check(self, conductance: bool = False) -> list[str]:
         problems = []
         if self.tau_m <= 0:
@@ -149,6 +144,18 @@ class StimulusSpec:
     pool_size: int = 0  # POISSON_POOL only
     samples_per_target: int = 0  # POISSON_POOL only
     pool_group: str = ""  # POISSON_POOL stimuli with equal group share sources
+
+
+def inhibitory_channel(weight, conductance: bool,
+                       source: Optional[Sign] = None):
+    """The channel rule: whether synapses of ``weight`` (a number or an
+    array) arrive on the inhibitory channel.  In current mode a negative
+    weight is inhibitory (-0.0 is not), elementwise.  In conductance mode the
+    sign of the ``source`` population decides, and a stimulus, which has no
+    source population, is excitatory."""
+    if conductance:
+        return source == Sign.INHIBITORY
+    return np.less(weight, 0)
 
 
 # A sidecar record of one edge: little-endian, in the dtypes of EdgeList's
@@ -341,6 +348,10 @@ def validate_network(spec: NetworkSpec) -> ValidationReport:
         if st.kind == StimulusKind.POISSON_POOL and \
                 st.samples_per_target > st.pool_size:
             findings.append(f"stimulus {st.sid}: samples_per_target > pool_size")
+        weights = spec.stim_edges[st.sid].weight if st.sid in spec.stim_edges \
+            else np.array([st.weight])
+        if conductance and np.any(weights < 0):
+            findings.append(f"stimulus {st.sid}: negative conductance weight")
     return ValidationReport(findings)
 
 
@@ -722,6 +733,12 @@ def mapping_relevant_hash(spec: NetworkSpec) -> str:
             h.update(np.ascontiguousarray(e.src, np.uint32).tobytes())
             h.update(np.ascontiguousarray(e.tgt, np.uint32).tobytes())
     return h.hexdigest()
+
+
+def json_digest(doc) -> str:
+    """The 128-bit BLAKE2b hex digest of ``doc`` as sorted-key JSON."""
+    return hashlib.blake2b(json.dumps(doc, sort_keys=True).encode(),
+                           digest_size=16).hexdigest()
 
 
 def spec_content_hash(spec: NetworkSpec) -> str:

@@ -9,7 +9,7 @@ mapping.  Network translation is required only once per structure.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
@@ -83,14 +83,7 @@ class PipelineConfig:
         return from_fields(cls, json.loads(Path(path).read_text()), "config")
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "adaptation": self.adaptation,
-            "topology": self.topology,
-            "simulation": self.simulation,
-            "analysis": self.analysis,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def brunel_params(params: dict) -> BrunelParams:
@@ -160,17 +153,23 @@ def scaled_microcircuit_config(seed: int = 0, duration: float = 10000.0,
     )
 
 
+_ANALYSIS_KEYS = {"window_start", "window_end", "bins", "synchrony_bin_ms"}
+
+
 def write_analysis(record: SpikeRecord, analysis_cfg: dict, out_dir: Path,
                    window_start: Optional[float] = None) -> tuple[dict, dict]:
     """The analyze stage: write ``rates.csv``, ``rate_histograms.csv`` and
     ``analysis.json`` for ``record`` into ``out_dir``.
 
     ``analysis_cfg`` may set ``window_start``, ``window_end``, ``bins`` and
-    ``synchrony_bin_ms``; a ``window_start`` argument overrides the config.
-    CV, synchrony and the regime are added to the summary only with at least
+    ``synchrony_bin_ms``, and any other key raises ``WafersimError``; a
+    ``window_start`` argument overrides the config.  CV, synchrony and the regime are added to the summary only with at least
     2 recorded neurons and a window of at least 20 ms.  Returns the summary
     and the written artifacts by name.
     """
+    unknown = set(analysis_cfg) - _ANALYSIS_KEYS
+    if unknown:
+        raise WafersimError(f"unknown analysis fields: {sorted(unknown)}")
     if window_start is None:
         window_start = analysis_cfg.get("window_start",
                                         min(1000.0, record.duration / 2))

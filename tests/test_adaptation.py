@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,8 +30,13 @@ from wafersim.adaptation import (
 )
 from wafersim.models import BrunelParams, build_brunel
 from wafersim.network import (
+    NetworkSpec,
+    NeuronParameters,
+    Population,
     StimulusKind,
+    StimulusSpec,
     SynapseKind,
+    WafersimError,
     ensure_sampled,
     in_degree_array,
     spec_content_hash,
@@ -42,6 +49,14 @@ from wafersim.psp import (
 
 def small_brunel(n=400, seed=0, **kw):
     return build_brunel(BrunelParams(n_total=n, **kw), seed=seed)
+
+
+def stimulated(weight, n=50, **params):
+    """``n`` unconnected neurons driven by one per-neuron 2 kHz stimulus."""
+    return NetworkSpec(
+        [Population("p", n, NeuronParameters(**params))], [],
+        [StimulusSpec("s", "p", StimulusKind.POISSON_PER_NEURON,
+                      rate=2000.0, weight=weight)])
 
 
 class TestPspShape:
@@ -213,6 +228,12 @@ class TestConductanceConversion:
             convert_current_to_conductance(
                 spec, assumed_mean_v={"exc": v_mean, "inh": v_mean})
 
+    def test_inhibitory_stimulus_raises(self):
+        # in conductance mode a stimulus arrives on the excitatory channel,
+        # so converting a negative one would make it depolarizing
+        with pytest.raises(WafersimError, match="'s'"):
+            convert_current_to_conductance(stimulated(-0.05))
+
 
 class TestClampTimeConstants:
     def test_raises_tau_and_rescales_weight(self):
@@ -234,6 +255,18 @@ class TestClampTimeConstants:
         after = psp_peak_current(float(out.edges["exc->exc"].weight[0]),
                                  pop.params.tau_m, 2.0, pop.params.c_m)
         assert after == pytest.approx(before)
+
+    def test_inhibitory_stimulus_uses_inhibitory_factor(self):
+        # the engine delivers a negative current stimulus on the inhibitory
+        # channel, so its PSP peak is kept by the tau_syn_inh factor
+        spec = stimulated(-0.05, tau_syn_exc=2.0, tau_syn_inh=0.5)
+        pooled, _ = substitute_poisson_pool(spec, 10, 5, seed=0)
+        factor = psp_shape_factor(20.0, 0.5) / psp_shape_factor(20.0, 2.0)
+        for before in (spec, pooled):
+            out, _ = clamp_time_constants(before, 2.0)
+            assert out.stimuli[0].weight == pytest.approx(-0.05 * factor)
+            assert out.stimuli[0].weight == pytest.approx(-0.01469, abs=1e-5)
+        assert np.allclose(out.stim_edges["s"].weight, -0.05 * factor)
 
     def test_noop_when_already_above(self):
         spec = ensure_sampled(small_brunel(n=300))
@@ -293,6 +326,37 @@ class TestParameterVariation:
         with pytest.raises(VariationError):
             apply_parameter_variation(small_brunel(n=2000), {"tau_m": 1.0},
                                       seed=1)
+
+
+def mixed_stimuli():
+    """A sampled Brunel network with pool stimuli, which have edge lists,
+    and one per-neuron stimulus."""
+    spec = ensure_sampled(small_brunel(n=300))
+    pooled, _ = substitute_poisson_pool(spec, 50, 10, seed=1)
+    pooled.stimuli.append(replace(spec.stimuli[0], sid="direct"))
+    return pooled
+
+
+STEPS = {
+    "downscale": lambda s: downscale(s, 0.5, 0.5, seed=1),
+    "scale_weights_linear": lambda s: scale_weights_linear(s, 0.5),
+    "substitute_poisson_pool":
+        lambda s: substitute_poisson_pool(s, 50, 10, seed=2),
+    "replace_input_with_leak_shift": replace_input_with_leak_shift,
+    "convert_current_to_conductance": convert_current_to_conductance,
+    "clamp_time_constants": lambda s: clamp_time_constants(s, 2.0),
+    "apply_parameter_variation":
+        lambda s: apply_parameter_variation(s, {"tau_m": 0.1}, seed=1),
+}
+
+
+@pytest.mark.parametrize("step", list(STEPS))
+def test_step_is_pure(step):
+    spec = mixed_stimuli()
+    before = spec_content_hash(spec)
+    out, _ = STEPS[step](spec)
+    assert spec_content_hash(spec) == before
+    assert spec_content_hash(out) != before
 
 
 class TestPipeline:

@@ -119,13 +119,18 @@ class TestStageCommands:
         ("sweep", {"model": {"params": {"n_totl": 200}}}, "n_totl"),
         ("bench", {"model": {"name": "brunel", "params": {"n_total": 200}},
                    "simulaton": {"duration": 100}}, "simulaton"),
+        ("analyze", {"analysis": {"window_strat": 50}}, "window_strat"),
     )])
     def test_unknown_config_key_exit_2(self, built, capsys, command, doc, key):
         spec = {"adapt": ["spec.json"], "map": ["adapted.json"],
-                "simulate": ["spec.json"]}.get(command, [])
+                "simulate": ["spec.json"],
+                "analyze": ["spikes.bin"]}.get(command, [])
         if command == "map":
             assert main(["adapt", str(built / "spec.json"),
                          "--out-dir", str(built)]) == EXIT_OK
+        if command == "analyze":
+            assert main(["simulate", str(built / "spec.json"), "--duration",
+                         "100", "--out-dir", str(built)]) == EXIT_OK
         capsys.readouterr()
         cfg = write_config(built, doc, name="unknown.json")
         code = main([command, *(str(built / s) for s in spec),

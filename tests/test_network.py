@@ -34,6 +34,7 @@ from wafersim.network import (
     spec_content_hash,
     spec_from_dict,
     spec_to_dict,
+    inhibitory_channel,
     validate_network,
 )
 
@@ -289,6 +290,30 @@ class TestValidation:
         spec = two_pop_spec()
         spec.projections[0].delay = -1.0
         assert not validate_network(spec).ok
+
+    def test_negative_conductance_stimulus(self):
+        spec = two_pop_spec()
+        for pr in spec.projections:
+            pr.kind = SynapseKind.CONDUCTANCE_EXP
+            pr.weight = abs(pr.weight)
+        assert validate_network(spec).ok
+        spec.stimuli[0].weight = -0.002
+        assert validate_network(spec).findings == [
+            "stimulus ext->exc: negative conductance weight"]
+
+
+class TestChannelRule:
+    def test_current_mode_follows_the_weight_sign(self):
+        weights = np.array([0.1, -0.1, 0.0, -0.0])
+        assert inhibitory_channel(weights, False).tolist() == \
+            [False, True, False, False]
+        assert inhibitory_channel(-0.1, False, Sign.EXCITATORY)
+
+    def test_conductance_mode_follows_the_source(self):
+        assert inhibitory_channel(0.1, True, Sign.INHIBITORY)
+        assert not inhibitory_channel(-0.1, True, Sign.EXCITATORY)
+        # a stimulus has no source population
+        assert not inhibitory_channel(-0.1, True)
 
 
 class TestInDegree:
