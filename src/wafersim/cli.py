@@ -36,6 +36,7 @@ from .pipeline import (
     StageFailure,
     ValidationFailure,
     adapt_stage,
+    analysis_settings,
     brunel_params,
     build_model,
     map_stage,
@@ -142,6 +143,12 @@ def cmd_analyze(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
+    analysis = analysis_settings(cfg.get("analysis") or {})
+    unused = sorted(analysis.keys() - {"window_start", "synchrony_bin_ms"})
+    if unused:
+        raise WafersimError(f"sweep does not use analysis fields {unused}: "
+                            f"its cells analyze from window_start to the end "
+                            f"of the run and write no rate histograms")
     sweep_cfg = cfg.get("sweep", {})
     g_values = [float(v) for v in (
         args.g.split(",") if args.g else sweep_cfg.get("g", [2, 3, 4, 5, 6, 8]))]
@@ -157,8 +164,8 @@ def cmd_sweep(args) -> int:
         simulation=from_fields(
             SimulationConfig, {"seed": args.seed, **cfg.get("simulation", {})},
             "simulation"),
-        window_start=float(cfg.get("analysis", {}).get("window_start", 500.0)),
         seed=args.seed,
+        **analysis,
     )
     grid = phase_sweep(g_values, eta_values, base, parallel=args.threads)
     out = _out_dir(args)

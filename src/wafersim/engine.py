@@ -16,17 +16,28 @@ so the engine advances a block of up to that many steps (at most
 3. each neuron's first threshold crossing is found, the reset and refractory
    clamp are applied, and the neuron restarts from the end of its clamp until
    no neuron crosses;
-4. the block's spikes are recorded and delivered by one scatter into the
-   input buffer.
+4. the block's spikes are recorded, and their sources' edges are delivered
+   by one scatter into the input buffer.
 
 A per-neuron Poisson stimulus is a drive whose source j reaches only its
 j-th target neuron, so stimuli, shared pools and recurrent edges take one
 delivery path.  Each edge stores its offset dstep*2n + channel*n + target at
-build time.  The input buffer is a sliding window of steps: row r holds the
-input arriving at step origin + r, so an edge of a source firing at step t
-lands at (t - origin)*2n plus its offset.  Before a block's arrivals would run
-past the last row, the rows still ahead move to the front; a copy adds
-nothing, so sums build up in the same order wherever the window stands.
+build time, in an edge table of fixed-width rows (sliced ELLPACK; Monakov et
+al. 2010, Kreutzer et al. 2014): a source's edges fill whole rows of
+``CHUNK`` slots (fewer if no source has that many edges) in order of source,
+then projection or stimulus, then edge, and the rest of its last row adds
+weight +0.0 at offset 0.  A scatter gathers the firing sources' rows whole
+and adds them with one ``add.at``.  The padding changes no bit: every buffer
+cell starts at +0.0, and x + y is -0.0 only when x and y both are, so no
+cell is ever -0.0, and adding +0.0 leaves every other value, NaN and
+infinities included, as it was; the real edges are added in the same order
+as without padding.
+
+The input buffer is a sliding window of steps: row r holds the input
+arriving at step origin + r, so an edge of a source firing at step t lands at
+(t - origin)*2n plus its offset.  Before a block's arrivals would run past
+the last row, the rows still ahead move to the front; a copy adds nothing,
+so sums build up in the same order wherever the window stands.
 
 All deliveries scheduled for a step enter the synaptic state before the
 membrane update of that step, and each delivered edge increments the
@@ -70,6 +81,10 @@ class SimulationDiagnosticError(WafersimError):
 BLOCK_CAP = 64
 # Most membrane probes one simulation records.
 MAX_PROBES = 8
+# Slots per row of an edge table: a source's edges fill whole rows, so one
+# row gather moves 256 bytes of offsets and the tail of a source's last row
+# is all the padding it adds.
+CHUNK = 32
 
 
 @dataclass
@@ -158,8 +173,8 @@ class _Engine:
         # delay step is its offset // row (a network without neurons has
         # no edges)
         row = max(2 * self.n, 1)
-        self.block = int(self.edges["flat"].min(initial=BLOCK_CAP * row)) // row
-        self.max_dstep = max(int(t["flat"].max(initial=row)) // row for t in
+        self.block = self.edges["lo"] // row
+        self.max_dstep = max(t["hi"] // row for t in
                              [self.edges] + [table for *_, table in self.drives])
         # syn_pow[k] = decay^(k+1) of the excitatory then inhibitory traces
         decay = np.exp(-self.dt / np.concatenate([self.tau_syn_exc,
@@ -187,59 +202,45 @@ class _Engine:
         the step their source fires in; offset // 2n is the delay step."""
         return dstep * (2 * self.n) + chan * self.n + tgt
 
-    def _edge_table(self, size, src, w, flat) -> dict:
-        """Edges of ``size`` sources in CSR order, with weights and offsets."""
-        order = np.argsort(src, kind="stable")
-        indptr = np.zeros(size + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=size), out=indptr[1:])
-        return {"indptr": indptr, "out_degree": np.diff(indptr),
-                "w": w[order], "flat": flat[order]}
-
     def _build_edges(self) -> None:
         spec, offsets = self.spec, self.offsets
-        srcs, ws, flats = [], [], []
+        parts = []
         for pr in spec.projections:
             e = spec.edges[pr.pid]
-            if not len(e):
-                continue
-            srcs.append(offsets[pr.source] + e.src.astype(np.int64))
-            ws.append(e.weight)
             chan = inhibitory_channel(e.weight, self.conductance,
                                       spec.population(pr.source).sign)
-            flats.append(self._flat(self._delay_steps(e.delay), chan,
-                                    offsets[pr.target] + e.tgt.astype(np.int64)))
-        self.edges = self._edge_table(self.n, _concat(srcs, np.int64),
-                                      _concat(ws, np.float64),
-                                      _concat(flats, np.int64))
+            parts.append((offsets[pr.source] + e.src.astype(np.int64), e.weight,
+                          self._flat(self._delay_steps(e.delay), chan,
+                                     offsets[pr.target] + e.tgt.astype(np.int64))))
+        self.edges = _edge_table(self.n, parts, 2 * self.n)
 
     def _build_drives(self) -> None:
         """One edge table per Poisson drive.  A per-neuron stimulus is a pool
         whose source j drives only the j-th neuron of its target population;
-        a shared pool group joins the edges of all its stimuli.  Each drive
-        keeps the random stream of its stimulus or group."""
+        a shared pool group has one part per stimulus.  Each drive keeps the
+        random stream of its stimulus or group."""
         spec, offsets = self.spec, self.offsets
         self.drives = []  # (stream key, sources, mean count per step, table)
 
-        def add(key, size, rate_ms, src, w, flat):
-            if rate_ms > 0 and len(src):
+        def add(key, size, rate_ms, parts):
+            if rate_ms > 0 and any(len(src) for src, _, _ in parts):
                 self.drives.append((key, size, rate_ms * self.dt,
-                                    self._edge_table(size, src, w, flat)))
+                                    _edge_table(size, parts, 2 * self.n)))
 
         pools: dict[str, dict] = {}
         for st in spec.stimuli:
             if st.kind == StimulusKind.POISSON_PER_NEURON:
                 s = spec.population(st.target).size
                 j = np.arange(s, dtype=np.int64)
-                add(("stim", st.sid), s, st.rate * 1e-3, j,
-                    np.full(s, float(st.weight)),
+                add(("stim", st.sid), s, st.rate * 1e-3, [(
+                    j, np.full(s, float(st.weight)),
                     self._flat(self._delay_steps(np.array([st.delay])),
                                inhibitory_channel(st.weight, self.conductance),
-                               offsets[st.target] + j))
+                               offsets[st.target] + j))])
             else:
                 gid = st.pool_group or st.sid
                 pool = pools.setdefault(gid, {
-                    "size": st.pool_size, "rate_ms": st.rate * 1e-3,
-                    "src": [], "w": [], "flat": [],
+                    "size": st.pool_size, "rate_ms": st.rate * 1e-3, "parts": [],
                 })
                 if pool["size"] != st.pool_size or \
                         abs(pool["rate_ms"] - st.rate * 1e-3) > 1e-15:
@@ -247,17 +248,14 @@ class _Engine:
                         f"pool group {gid}: inconsistent pool size or rate")
                 e = spec.stim_edges.get(st.sid)
                 if e is not None and len(e):
-                    pool["src"].append(e.src.astype(np.int64))
-                    pool["w"].append(e.weight)
-                    pool["flat"].append(self._flat(
-                        self._delay_steps(e.delay),
-                        inhibitory_channel(e.weight, self.conductance),
-                        offsets[st.target] + e.tgt.astype(np.int64)))
+                    pool["parts"].append((
+                        e.src.astype(np.int64), e.weight, self._flat(
+                            self._delay_steps(e.delay),
+                            inhibitory_channel(e.weight, self.conductance),
+                            offsets[st.target] + e.tgt.astype(np.int64))))
         for gid in sorted(pools):
             p = pools[gid]
-            if p["src"]:
-                add(("pool", gid), p["size"], p["rate_ms"],
-                    *(np.concatenate(p[k]) for k in ("src", "w", "flat")))
+            add(("pool", gid), p["size"], p["rate_ms"], p["parts"])
 
     # -- main loop --
 
@@ -300,7 +298,7 @@ class _Engine:
             # external drive enters the buffer like any other spike
             for (_, size, mean, table), rng in zip(self.drives, rngs):
                 k, j = _poisson_events(rng, mean, L, size)
-                deliveries += self._scatter(buf, r0 + k, j, table)
+                deliveries += _scatter(buf, r0 + k, j, table, 2 * n)
             traces = window[r0:r0 + L].copy()
             window[r0:r0 + L] = 0.0
             _scan_powers(traces, self.syn_pow)
@@ -311,7 +309,7 @@ class _Engine:
             if not np.isfinite(V.sum() + traces.sum()):
                 self._raise_non_finite(t0, V, traces)
             if len(ids):
-                deliveries += self._scatter(buf, r0 + steps, ids, self.edges)
+                deliveries += _scatter(buf, r0 + steps, ids, self.edges, 2 * n)
                 steps += t0
                 if record_mask is not None:
                     keep = record_mask[ids]
@@ -341,18 +339,6 @@ class _Engine:
                          if cfg.membrane_probes else None),
             probes=probes,
         )
-
-    def _scatter(self, buf, rows, srcs, table) -> int:
-        """Add the edges of sources ``srcs``, firing in buffer ``rows``, to
-        the buffer; returns the number of edges delivered."""
-        if not len(table["w"]):
-            return 0
-        idx = _csr_gather(table["indptr"], srcs)
-        if len(idx):
-            pos = np.repeat(rows * (2 * self.n), table["out_degree"][srcs])
-            pos += table["flat"][idx]
-            np.add.at(buf, pos, table["w"][idx])
-        return len(idx)
 
     def _integrate(self, v0, ref, traces):
         """Membrane trajectory over one block, given the synaptic traces.
@@ -474,8 +460,65 @@ class _SpikeBuffer:
         self.n = end
 
 
-def _concat(parts: list, dtype) -> np.ndarray:
-    return np.concatenate(parts) if parts else np.empty(0, dtype)
+def _edge_table(size: int, parts: list, stride: int) -> dict:
+    """The edges of ``size`` sources as fixed-width rows (sliced ELLPACK).
+
+    ``parts`` holds ``(src, w, flat)`` arrays: each edge's source, weight
+    and buffer offset from the row of its source's firing step, for rows of
+    ``stride`` entries.  A row has ``CHUNK`` slots, or as many as the largest
+    out-degree if that is smaller.  Source s owns rows ``first[s]`` to
+    ``first[s+1]`` and fills them with its ``degree[s]`` edges in part
+    order, then edge order, which is the order a stable sort by source
+    gives.  The slots after its last edge add weight +0.0 at offset 0.
+    ``lo`` and ``hi`` are the least and greatest offsets of the edges; without
+    edges they are ``BLOCK_CAP`` rows and one row.  Each part is written
+    through a per-source fill pointer, so no sorted copy of all edges is
+    ever held."""
+    counts = [np.bincount(src, minlength=size) for src, _, _ in parts]
+    degree = sum(counts, np.zeros(size, np.int64))
+    width = max(1, min(CHUNK, int(degree.max(initial=0))))
+    n_rows = -(-degree // width)
+    first = np.zeros(size + 1, np.int64)
+    np.cumsum(n_rows, out=first[1:])
+    F = np.zeros((first[-1], width), np.int64)
+    W = np.zeros((first[-1], width))
+    fill = first[:-1] * width  # each source's next free slot
+    row = max(stride, 1)
+    lo, hi = BLOCK_CAP * row, row
+    for (src, w, flat), count in zip(parts, counts):
+        # the part's edges stably sorted by source (sampled projections
+        # mostly come sorted); in that order an edge's slot is its source's
+        # fill pointer plus its rank among the part's edges of that source
+        order = slice(None) if np.all(src[1:] >= src[:-1]) \
+            else np.argsort(src, kind="stable")
+        slot = np.arange(len(src)) + np.repeat(fill - (np.cumsum(count) - count),
+                                               count)
+        F.reshape(-1)[slot] = flat[order]
+        W.reshape(-1)[slot] = w[order]
+        fill += count
+        lo = min(lo, int(flat.min(initial=lo)))
+        hi = max(hi, int(flat.max(initial=hi)))
+    return {"first": first, "n_rows": n_rows, "degree": degree,
+            "F": F, "W": W, "lo": lo, "hi": hi}
+
+
+def _scatter(buf, rows, srcs, table: dict, stride: int) -> int:
+    """Add the edges of sources ``srcs``, firing in buffer ``rows`` of
+    ``stride`` entries, to the flat buffer; returns the number of edges
+    delivered.  The sources' table rows are gathered whole, each offset
+    by its firing row, and enter one ``add.at`` in the order of ``srcs``,
+    then the table's order, padding included."""
+    n_rows = table["n_rows"][srcs]
+    total = int(n_rows.sum())
+    if not total:
+        return 0
+    ends = np.cumsum(n_rows)
+    idx = np.arange(total) + np.repeat(table["first"][srcs] - ends + n_rows,
+                                       n_rows)
+    pos = np.take(table["F"], idx, axis=0)
+    pos += np.repeat(rows * stride, n_rows)[:, None]
+    np.add.at(buf, pos.ravel(), np.take(table["W"], idx, axis=0).ravel())
+    return int(table["degree"][srcs].sum())
 
 
 def _powers(base: np.ndarray, k: int) -> np.ndarray:
@@ -510,22 +553,6 @@ def _poisson_events(rng, mean: float, steps: int, size: int):
     cells = steps * size
     return np.divmod(rng.integers(0, cells, size=rng.poisson(mean * cells)),
                      size)
-
-
-def _csr_gather(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Indices of all CSR entries belonging to ``rows`` (concatenated slices)."""
-    counts = indptr[rows + 1] - indptr[rows]
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, np.int64)
-    starts = indptr[rows]
-    nonzero = counts > 0
-    starts, counts = starts[nonzero], counts[nonzero]
-    steps = np.ones(total, dtype=np.int64)
-    steps[0] = starts[0]
-    pos = np.cumsum(counts)[:-1]
-    steps[pos] = starts[1:] - (starts[:-1] + counts[:-1]) + 1
-    return np.cumsum(steps)
 
 
 def simulate(spec: NetworkSpec, config: SimulationConfig) -> SpikeRecord:

@@ -153,7 +153,20 @@ def scaled_microcircuit_config(seed: int = 0, duration: float = 10000.0,
     )
 
 
-_ANALYSIS_KEYS = {"window_start", "window_end", "bins", "synchrony_bin_ms"}
+# the keys of an analysis config section, with their types
+_ANALYSIS_KEYS = {"window_start": float, "window_end": float, "bins": int,
+                  "synchrony_bin_ms": float}
+
+
+def analysis_settings(analysis_cfg: dict) -> dict:
+    """The keys that an ``analysis`` config section sets, with typed values.
+    ``window_start`` and ``window_end`` are in ms, ``bins`` counts the bins
+    of each rate histogram and ``synchrony_bin_ms`` is the synchrony bin;
+    any other key raises ``WafersimError``."""
+    unknown = set(analysis_cfg) - _ANALYSIS_KEYS.keys()
+    if unknown:
+        raise WafersimError(f"unknown analysis fields: {sorted(unknown)}")
+    return {k: _ANALYSIS_KEYS[k](v) for k, v in analysis_cfg.items()}
 
 
 def write_analysis(record: SpikeRecord, analysis_cfg: dict, out_dir: Path,
@@ -161,27 +174,24 @@ def write_analysis(record: SpikeRecord, analysis_cfg: dict, out_dir: Path,
     """The analyze stage: write ``rates.csv``, ``rate_histograms.csv`` and
     ``analysis.json`` for ``record`` into ``out_dir``.
 
-    ``analysis_cfg`` may set ``window_start``, ``window_end``, ``bins`` and
-    ``synchrony_bin_ms``, and any other key raises ``WafersimError``; a
-    ``window_start`` argument overrides the config.  CV, synchrony and the regime are added to the summary only with at least
-    2 recorded neurons and a window of at least 20 ms.  Returns the summary
-    and the written artifacts by name.
+    ``analysis_cfg`` is checked by ``analysis_settings``; a ``window_start``
+    argument overrides the config.  CV, synchrony and the regime are added
+    to the summary only with at least 2 recorded neurons and a window of at
+    least 20 ms.  Returns the summary and the written artifacts by name.
     """
-    unknown = set(analysis_cfg) - _ANALYSIS_KEYS
-    if unknown:
-        raise WafersimError(f"unknown analysis fields: {sorted(unknown)}")
+    settings = analysis_settings(analysis_cfg)
     if window_start is None:
-        window_start = analysis_cfg.get("window_start",
-                                        min(1000.0, record.duration / 2))
+        window_start = settings.get("window_start",
+                                    min(1000.0, record.duration / 2))
     window = (float(window_start),
-              float(analysis_cfg.get("window_end", record.duration)))
+              settings.get("window_end", float(record.duration)))
     rates = mean_rates(record, window)
     lines = ["population,mean_rate_hz"]
     for pid, rate in rates.per_population_mean.items():
         lines.append(f"{pid},{rate:.6f}")
     (out_dir / "rates.csv").write_text("\n".join(lines) + "\n")
     hist_lines = ["population,bin_lo_hz,bin_hi_hz,count"]
-    bins = int(analysis_cfg.get("bins", 20))
+    bins = settings.get("bins", 20)
     for pid in record.population_slices:
         try:
             hist = rate_distribution(record, pid, window, bins=bins)
@@ -197,7 +207,7 @@ def write_analysis(record: SpikeRecord, analysis_cfg: dict, out_dir: Path,
     if len(rates.recorded_neurons) >= 2 and (window[1] - window[0]) >= 20.0:
         cv = cv_isi(record, window)
         sync = synchrony(record, window,
-                         float(analysis_cfg.get("synchrony_bin_ms", 2.0)))
+                         settings.get("synchrony_bin_ms", 2.0))
         summary["cv_isi_mean"] = cv.mean()
         summary["synchrony"] = sync
         summary["regime"] = classify_regime(rates, cv, sync, RegimeThresholds())
@@ -281,6 +291,7 @@ def run_pipeline(config: Union[PipelineConfig, str, Path, dict],
         config = PipelineConfig.from_file(config)
     elif isinstance(config, dict):
         config = from_fields(PipelineConfig, config, "config")
+    analysis_settings(config.analysis)  # a bad key fails before any work
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = {}

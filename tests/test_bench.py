@@ -1,3 +1,6 @@
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -69,3 +72,18 @@ class TestThroughput:
         assert doc["deliveries"] == 100
         assert doc["bio_duration_ms"] == 500.0
         assert len(doc["reference"]) == 5
+
+
+class TestBenchmarkTracedNames:
+    def test_pipeline_calls_resolve(self, monkeypatch):
+        # perfbench/run.py runs with perfbench/ first on sys.path and imports
+        # workloads, whose tracer patches each named function with getattr
+        perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+        monkeypatch.syspath_prepend(str(perfbench))
+        workloads = importlib.import_module("workloads")
+        missing = [f"{module.__name__}.{name}"
+                   for module, names in workloads.PIPELINE_CALLS.items()
+                   for name in names if not hasattr(module, name)]
+        assert not missing
+        assert {m.__name__ for m in workloads.PIPELINE_CALLS} == {
+            "wafersim.pipeline", "wafersim.adaptation", "wafersim.mapping"}

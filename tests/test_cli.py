@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from test_pipeline import small_config
+from wafersim import cli
 from wafersim.cli import (
     EXIT_CAPACITY,
     EXIT_OK,
@@ -120,7 +121,14 @@ class TestStageCommands:
         ("bench", {"model": {"name": "brunel", "params": {"n_total": 200}},
                    "simulaton": {"duration": 100}}, "simulaton"),
         ("analyze", {"analysis": {"window_strat": 50}}, "window_strat"),
-    )])
+    )] + [
+        # the sweep also refuses analysis keys that its cells cannot use
+        pytest.param("sweep", {"model": {"params": {"n_total": 200}},
+                               "simulation": {"duration": 100},
+                               "sweep": {"g": [4], "eta": [2]},
+                               "analysis": {key: 50}}, key, id=f"sweep-{key}")
+        for key in ("window_strat", "window_end", "bins")
+    ])
     def test_unknown_config_key_exit_2(self, built, capsys, command, doc, key):
         spec = {"adapt": ["spec.json"], "map": ["adapted.json"],
                 "simulate": ["spec.json"],
@@ -137,6 +145,33 @@ class TestStageCommands:
                      "--out-dir", str(built), "--config", cfg])
         assert code == EXIT_VALIDATION
         assert key in capsys.readouterr().err
+
+    def test_bench_checks_analysis_before_simulating(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "model": {"name": "brunel", "params": {"n_total": 200}},
+            "simulation": {"duration": 100.0},
+            "analysis": {"window_strat": 50}})
+        out = tmp_path / "out"
+        code = main(["bench", "--out-dir", str(out), "--config", cfg])
+        assert code == EXIT_VALIDATION
+        assert "window_strat" in capsys.readouterr().err
+        assert not (out / "spikes.bin").exists()
+
+    def test_sweep_passes_analysis_settings(self, tmp_path, monkeypatch):
+        class Captured(Exception):
+            pass
+
+        def capture(g_values, eta_values, base, parallel=1):
+            raise Captured(base)
+
+        monkeypatch.setattr(cli, "phase_sweep", capture)
+        cfg = write_config(tmp_path, {"analysis": {
+            "window_start": 120, "synchrony_bin_ms": 4}})
+        with pytest.raises(Captured) as caught:
+            main(["sweep", "--g", "4", "--eta", "2", "--out-dir",
+                  str(tmp_path), "--config", cfg])
+        base = caught.value.args[0]
+        assert (base.window_start, base.synchrony_bin_ms) == (120.0, 4.0)
 
     # a full pipeline config without the section a command reads: that
     # section's defaults, not the whole document taken as the section

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -7,6 +9,11 @@ from hypothesis import strategies as st
 import oracles
 from oracles import dense_psp_peak_conductance, lif_constant_current_rate
 from wafersim import engine
+from wafersim.adaptation import (
+    convert_current_to_conductance,
+    replace_input_with_leak_shift,
+    substitute_poisson_pool,
+)
 from wafersim.engine import (
     BLOCK_CAP,
     SimulationConfig,
@@ -282,6 +289,72 @@ class TestDeliveryAccounting:
         assert abs(record.deliveries - expected) < 4 * sd
 
 
+@st.composite
+def edge_cases(draw):
+    """(n, size, parts, fires): ``size`` sources whose edges, in a random
+    order, are split into parts, and (buffer row, source) firings."""
+    n, size = draw(st.integers(1, 3)), draw(st.integers(0, 5))
+    degrees = draw(st.lists(st.sampled_from([0, 1, 31, 32, 33, 101]),
+                            min_size=size, max_size=size))
+    src = draw(st.permutations([s for s, d in enumerate(degrees)
+                                for _ in range(d)]))
+    m = len(src)
+    w = draw(st.lists(st.one_of(st.just(-0.0), st.floats(-1e3, 1e3)),
+                      min_size=m, max_size=m))
+    flat = draw(st.lists(st.integers(2 * n, 6 * n - 1), min_size=m, max_size=m))
+    cuts = sorted(draw(st.lists(st.integers(0, m), max_size=3)))
+    bounds = [0, *cuts, m]
+    parts = [(src[a:b], w[a:b], flat[a:b]) for a, b in zip(bounds, bounds[1:])]
+    fires = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, size - 1)),
+                          max_size=8)) if size else []
+    return n, size, parts, fires
+
+
+class TestEdgeTable:
+    """The fixed-width edge table against a sequential reference: each edge
+    of a firing source added alone, in the order of a stable sort of all
+    parts' edges by source."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=edge_cases())
+    @example(case=(2, 5, [([4] * 101 + [1] * 31 + [2] * 32 + [3] * 33,
+                           [-0.0, 1.5, -2.25] * 65 + [0.0, -0.0],
+                           list(range(4, 12)) * 24 + [5, 6, 7, 8, 9]),
+                          ([], [], [])],
+                   [(0, 4), (1, 1), (0, 4), (3, 2), (3, 3), (2, 0), (0, 4)]))
+    @example(case=(1, 2, [([1] * 33, [0.25] * 33, [2] * 33),
+                          ([0] * 3 + [1] * 5, [-1.0] * 8, [3] * 8),
+                          ([1] * 40, [0.5] * 40, [2, 3] * 20)],
+                   [(2, 1), (2, 1), (1, 0)]))
+    @example(case=(3, 4, [([], [], [])], [(0, 0), (4, 3)]))
+    @example(case=(1, 0, [], []))
+    def test_matches_sequential_reference(self, case):
+        n, size, parts, fires = case
+        stride, rows = 2 * n, 7  # firing rows 0-4, delays of 1-2 rows
+        src = [s for p in parts for s in p[0]]
+        w = [x for p in parts for x in p[1]]
+        flat = [f for p in parts for f in p[2]]
+        csr = sorted(range(len(src)), key=src.__getitem__)  # stable
+        expected = np.zeros(rows * stride)
+        for row, s in fires:
+            for e in csr:
+                if src[e] == s:
+                    expected[row * stride + flat[e]] += w[e]
+        table = engine._edge_table(size, [
+            (np.array(s, np.int64), np.array(x, np.float64),
+             np.array(f, np.int64)) for s, x, f in parts], stride)
+        buf = np.zeros(rows * stride)
+        r = np.array([row for row, _ in fires], np.int64)
+        srcs = np.array([s for _, s in fires], np.int64)
+        delivered = engine._scatter(buf, r, srcs, table, stride)
+        assert np.array_equal(buf.view(np.int64), expected.view(np.int64))
+        assert delivered == table["degree"][srcs].sum() \
+            == sum(src.count(s) for s in srcs.tolist())
+        assert not np.any((buf == 0) & np.signbit(buf))
+        degree = max(map(src.count, set(src)), default=0)
+        assert table["F"].shape[1] == max(1, min(engine.CHUNK, degree))
+
+
 class TestPoissonEvents:
     """The engine's Poisson drive: per block, one Poisson total spread
     uniformly over the (step, source) cells."""
@@ -411,6 +484,50 @@ class TestDeterminism:
         record = simulate(spec, SimulationConfig(dt=0.1, duration=500.0))
         order = np.lexsort((record.ids, record.times))
         assert np.array_equal(order, np.arange(len(order)))
+
+
+def pinned_pool_spec():
+    """Current-based Brunel (n=300, g=5, eta=2) driven by a shared pool."""
+    spec = ensure_sampled(build_brunel(
+        BrunelParams(n_total=300, g=5.0, eta=2.0), seed=0))
+    spec, _ = substitute_poisson_pool(spec, 300, 40, seed=0)
+    return spec
+
+
+def pinned_conductance_spec():
+    """Conductance network with delays of 0.8-2.0 ms, a leak shift in place
+    of the per-neuron inputs and a per-neuron drive of the exc population."""
+    spec = ensure_sampled(build_brunel(
+        BrunelParams(n_total=250, g=4.0, eta=0.9), seed=1))
+    rng = np.random.default_rng(5)
+    for e in spec.edges.values():
+        e.delay = rng.uniform(0.8, 2.0, len(e))
+    spec, _ = replace_input_with_leak_shift(spec)
+    spec, _ = convert_current_to_conductance(spec)
+    spec.stimuli.append(StimulusSpec("ext->exc", "exc",
+                                     StimulusKind.POISSON_PER_NEURON,
+                                     rate=5000.0, weight=0.002, delay=1.3))
+    return spec
+
+
+class TestPinnedOutput:
+    """The engine's output bits, recorded at commit fa04d10 (CSR delivery)
+    and kept by every later delivery layout: a reordered or dropped
+    delivery changes the spike hash, which reruns of one build cannot
+    show."""
+
+    @pytest.mark.parametrize("make,deliveries,spikes,digest", [
+        (pinned_pool_spec, 2_082_511, 9284,
+         "86ce84fbd33bd2f789638d31357860d9"),
+        (pinned_conductance_spec, 485_587, 7408,
+         "a10773c012aaf762adf0429047495705"),
+    ], ids=["pool", "conductance"])
+    def test_pinned(self, make, deliveries, spikes, digest):
+        record = simulate(make(), SimulationConfig(dt=0.1, duration=300.0))
+        assert record.deliveries == deliveries
+        assert record.spike_count() == spikes
+        assert hashlib.blake2b(record.times.tobytes() + record.ids.tobytes(),
+                               digest_size=16).hexdigest() == digest
 
 
 class TestRecordingOptions:
