@@ -12,7 +12,7 @@ import time
 from pathlib import Path
 
 from wafersim.adaptation import AdaptationConfig
-from wafersim.analysis import SweepBaseConfig, phase_sweep
+from wafersim.analysis import AnalysisConfig, SweepBaseConfig, phase_sweep
 from wafersim.engine import SimulationConfig
 from wafersim.models import BrunelParams
 
@@ -39,7 +39,8 @@ def main():
             neuron_scale=2083 / 12400, indegree_scale=0.2673,
             poisson_pool={"pool_size": 2083, "samples_per_target": 200}),
         simulation=SimulationConfig(dt=0.1, duration=args.duration),
-        window_start=args.window_start, seed=args.seed)
+        analysis=AnalysisConfig(window_start=args.window_start),
+        seed=args.seed)
     start = time.monotonic()
     grid = phase_sweep(args.g, args.eta, base, parallel=args.parallel)
     wall = time.monotonic() - start

@@ -4,6 +4,7 @@ LIF simulation, spike statistics, and throughput benchmarking."""
 
 from .adaptation import AdaptationConfig, AdaptationReport, adapt_pipeline
 from .analysis import (
+    AnalysisConfig,
     RegimeThresholds,
     SweepBaseConfig,
     classify_regime,

@@ -402,16 +402,23 @@ def apply_parameter_variation(spec: NetworkSpec, cv_map: dict[str, float],
 
 
 @dataclass
+class PoissonPool:
+    """The keys of ``AdaptationConfig.poisson_pool``."""
+    pool_size: int
+    samples_per_target: int
+
+
+@dataclass
 class AdaptationConfig:
     neuron_scale: float = 1.0
     indegree_scale: float = 1.0
     weight_compensation: str = "linear"  # "linear" | "none"
     conductance_conversion: bool = False
-    assumed_mean_v: Optional[dict] = None  # population id -> mV
-    poisson_pool: Optional[dict] = None  # {"pool_size": int, "samples_per_target": int}
+    assumed_mean_v: Optional[dict[str, float]] = None  # population id -> mV
+    poisson_pool: Optional[dict] = None  # the fields of PoissonPool
     leak_shift_input: bool = False
     min_tau_syn: float = 0.0  # <= 0 disables clamping
-    variation: dict = field(default_factory=dict)  # field name -> cv
+    variation: dict[str, float] = field(default_factory=dict)  # field name -> cv
     seed: int = 0
 
     def check(self) -> None:
@@ -423,12 +430,10 @@ class AdaptationConfig:
             raise ValueError("weight_compensation must be 'linear' or 'none'")
         if any(cv < 0 for cv in self.variation.values()):
             raise ValueError("variation CVs must be >= 0")
-        if self.poisson_pool and self.leak_shift_input:
-            raise ValueError("choose either poisson_pool or leak_shift_input")
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "AdaptationConfig":
-        return from_fields(cls, doc, "adaptation")
+        if self.poisson_pool:
+            from_fields(PoissonPool, self.poisson_pool, "poisson_pool")
+            if self.leak_shift_input:
+                raise ValueError("choose either poisson_pool or leak_shift_input")
 
 
 def adapt_pipeline(spec: NetworkSpec, config: AdaptationConfig

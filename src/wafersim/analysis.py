@@ -23,6 +23,24 @@ from .network import WafersimError
 
 
 @dataclass
+class AnalysisConfig:
+    """The ``analysis`` section of a pipeline config."""
+    window_start: Optional[float] = None  # ms; None = min(1000, duration / 2)
+    window_end: Optional[float] = None  # ms; None = the end of the run
+    bins: int = 20  # bins of each rate histogram
+    synchrony_bin_ms: float = 2.0
+
+    def check(self) -> None:
+        if self.bins <= 0:
+            raise ValueError("bins must be > 0")
+        if self.synchrony_bin_ms <= 0:
+            raise ValueError("synchrony_bin_ms must be > 0")
+        if None not in (self.window_start, self.window_end) and \
+                self.window_end <= self.window_start:
+            raise ValueError("window_end must be after window_start")
+
+
+@dataclass
 class RateSummary:
     window: tuple[float, float]  # (start ms, end ms)
     per_population_mean: dict[str, float]  # Hz
@@ -248,13 +266,19 @@ class SweepGrid:
 
 
 @dataclass
+class SweepConfig:
+    """The ``sweep`` section of a config document: the grid's axes."""
+    g: list[float] = field(default_factory=lambda: [2, 3, 4, 5, 6, 8])
+    eta: list[float] = field(default_factory=lambda: [0.5, 0.9, 1, 2, 4])
+
+
+@dataclass
 class SweepBaseConfig:
     brunel: BrunelParams
     adaptation: AdaptationConfig
     simulation: SimulationConfig
-    window_start: float = 500.0  # ms discarded as warmup
-    synchrony_bin_ms: float = 2.0
-    thresholds: RegimeThresholds = field(default_factory=RegimeThresholds)
+    # its window_start (ms discarded as warmup) is 500 when not set
+    analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
     seed: int = 0
 
 
@@ -268,11 +292,12 @@ def run_sweep_cell(base: SweepBaseConfig, g: float, eta: float) -> SweepCell:
     spec = build_brunel(params, seed=base.seed)
     adapted, _ = adapt_pipeline(spec, base.adaptation)
     record = simulate(adapted, base.simulation)
-    window = (base.window_start, record.duration)
+    start = base.analysis.window_start
+    window = (500.0 if start is None else start, record.duration)
     rates = mean_rates(record, window)
     cv = cv_isi(record, window)
-    sync = synchrony(record, window, base.synchrony_bin_ms)
-    regime = classify_regime(rates, cv, sync, base.thresholds)
+    sync = synchrony(record, window, base.analysis.synchrony_bin_ms)
+    regime = classify_regime(rates, cv, sync)
     return SweepCell(
         g=g, eta=eta,
         mean_rate_exc=rates.per_population_mean.get("exc", 0.0),

@@ -7,7 +7,7 @@ power for the entire system).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .engine import SpikeRecord, biological_speedup
 from .network import WafersimError
@@ -76,23 +76,8 @@ class ThroughputReport:
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
-        return {
-            "events_per_second": self.events_per_second,
-            "speedup": self.speedup,
-            "wall_time": self.wall_time,
-            "deliveries": self.deliveries,
-            "bio_duration_ms": self.bio_duration_ms,
-            "reference": [
-                {
-                    "system": r.system,
-                    "performance_e9_events_per_s": r.performance_e9_events_per_s,
-                    "energy_uj_per_event": r.energy_uj_per_event,
-                    "energy_is_upper_bound": r.energy_is_upper_bound,
-                    "estimated": r.estimated,
-                }
-                for r in self.reference.rows
-            ],
-        }
+        return {**asdict(self),
+                "reference": [asdict(r) for r in self.reference.rows]}
 
 
 def throughput_metrics(record: SpikeRecord) -> ThroughputReport:

@@ -10,12 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
 from pathlib import Path
 
-from .adaptation import AdaptationConfig
-from .analysis import SweepBaseConfig, phase_sweep
-from .engine import SimulationConfig, SimulationDiagnosticError, load_spikes_binary
+from .analysis import SweepBaseConfig, SweepConfig, phase_sweep
+from .engine import SimulationDiagnosticError, load_spikes_binary
 from .hardware import (
     CapacityError,
     InfeasibleFanInError,
@@ -34,10 +32,7 @@ from .network import (
 from .pipeline import (
     PipelineConfig,
     StageFailure,
-    ValidationFailure,
     adapt_stage,
-    analysis_settings,
-    brunel_params,
     build_model,
     map_stage,
     run_pipeline,
@@ -51,21 +46,22 @@ EXIT_VALIDATION = 2
 EXIT_CAPACITY = 3
 EXIT_DIAGNOSTIC = 4
 
-_CAPACITY_ERRORS = (CapacityError, InfeasibleFanInError,
-                    PlacementOverflowError, MappingMismatchError)
 
-
-def _load_config(args) -> dict:
-    """The ``--config`` document: pipeline config sections and ``sweep``."""
-    if args.config is None:
-        return {}
-    cfg = json.loads(Path(args.config).read_text())
-    if not isinstance(cfg, dict):
+def _load_config(args, **options) -> tuple[PipelineConfig, SweepConfig]:
+    """The ``--config`` document: its pipeline config and its ``sweep``
+    section.  The seed is the document's ``seed`` if it sets one and
+    ``--seed`` otherwise.  ``options`` maps a section to the keys that
+    command-line options set in it; an option that is ``None`` is unset."""
+    doc = json.loads(Path(args.config).read_text()) if args.config else {}
+    if not isinstance(doc, dict):
         raise WafersimError(f"config {args.config} is not a JSON object")
-    unknown = set(cfg) - {f.name for f in fields(PipelineConfig)} - {"sweep"}
-    if unknown:
-        raise WafersimError(f"unknown config fields: {sorted(unknown)}")
-    return cfg
+    sweep = from_fields(SweepConfig, doc.pop("sweep", {}), "sweep")
+    config = from_fields(PipelineConfig,
+                         {"model": {}, "seed": args.seed, **doc}, "config")
+    for section, keys in options.items():
+        setattr(config, section, {**getattr(config, section), **{
+            k: v for k, v in keys.items() if v is not None}})
+    return config, sweep
 
 
 def _out_dir(args) -> Path:
@@ -75,15 +71,8 @@ def _out_dir(args) -> Path:
 
 
 def cmd_build(args) -> int:
-    cfg = _load_config(args)
-    model = cfg.get("model", {})
-    if args.model:
-        model = {"name": args.model, "params": model.get("params", {})}
-    if not model.get("name"):
-        print("error: no model given (use positional model or --config)",
-              file=sys.stderr)
-        return EXIT_VALIDATION
-    spec = build_model(model, args.seed)
+    config, _ = _load_config(args, model={"name": args.model})
+    spec = build_model(config.sections().model, config.seed)
     report = validate_network(spec)
     if not report.ok:
         print("validation failed:", "; ".join(report.findings), file=sys.stderr)
@@ -95,20 +84,17 @@ def cmd_build(args) -> int:
 
 
 def cmd_adapt(args) -> int:
+    adaptation = _load_config(args)[0].sections().adaptation
     spec = load_spec(args.spec)
-    cfg = _load_config(args)
-    adapt_cfg = AdaptationConfig.from_dict(
-        {"seed": args.seed, **(cfg.get("adaptation") or {})})
-    _, report, artifacts = adapt_stage(spec, adapt_cfg, _out_dir(args))
+    _, report, artifacts = adapt_stage(spec, adaptation, _out_dir(args))
     print(report.render_text())
     print(f"wrote {artifacts['adapted']}")
     return EXIT_OK
 
 
 def cmd_map(args) -> int:
+    topology = _load_config(args)[0].sections().topology or WaferTopology()
     spec = ensure_sampled(load_spec(args.spec))
-    cfg = _load_config(args)
-    topology = WaferTopology.from_dict(cfg.get("topology") or {})
     _, result, cached, _ = map_stage(spec, topology, _out_dir(args))
     realized = sum(result.realized.values())
     print(f"mapped: {realized} of {result.total_requested()} synapses "
@@ -118,55 +104,43 @@ def cmd_map(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    config, _ = _load_config(args, simulation={"duration": args.duration,
+                                               "dt": args.dt})
+    simulation = config.sections().simulation
     spec = ensure_sampled(load_spec(args.spec))
-    cfg = _load_config(args)
-    sim = dict(cfg.get("simulation") or {})
-    sim.setdefault("seed", args.seed)
-    if args.duration is not None:
-        sim["duration"] = args.duration
-    if args.dt is not None:
-        sim["dt"] = args.dt
-    record, _ = simulate_stage(spec, from_fields(SimulationConfig, sim,
-                                                 "simulation"), _out_dir(args))
+    record, _ = simulate_stage(spec, simulation, _out_dir(args))
     print(f"{record.spike_count()} spikes, {record.deliveries} deliveries, "
           f"{record.wall_time:.3f} s wall")
     return EXIT_OK
 
 
 def cmd_analyze(args) -> int:
+    config, _ = _load_config(args, analysis={"window_start": args.window_start})
+    analysis = config.sections().analysis
     record = load_spikes_binary(args.spikes)
-    cfg = _load_config(args).get("analysis", {})
-    summary, _ = write_analysis(record, cfg, _out_dir(args), args.window_start)
+    summary, _ = write_analysis(record, analysis, _out_dir(args))
     print(json.dumps(summary, indent=2))
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args)
-    analysis = analysis_settings(cfg.get("analysis") or {})
-    unused = sorted(analysis.keys() - {"window_start", "synchrony_bin_ms"})
+    config, sweep = _load_config(args)
+    config.model = {"name": "brunel", **config.model}
+    if config.model["name"] != "brunel":
+        raise WafersimError(f"sweep runs brunel, not {config.model['name']!r}")
+    if config.topology is not None:
+        raise WafersimError("sweep refuses a topology: it maps no cell")
+    unused = sorted({"window_end", "bins"} & config.analysis.keys())
     if unused:
-        raise WafersimError(f"sweep does not use analysis fields {unused}: "
-                            f"its cells analyze from window_start to the end "
-                            f"of the run and write no rate histograms")
-    sweep_cfg = cfg.get("sweep", {})
-    g_values = [float(v) for v in (
-        args.g.split(",") if args.g else sweep_cfg.get("g", [2, 3, 4, 5, 6, 8]))]
+        raise WafersimError(f"sweep refuses analysis fields {unused}: its "
+                            f"cells analyze from window_start to the end of "
+                            f"the run and write no rate histograms")
+    sections = config.sections()
+    g_values = [float(v) for v in (args.g.split(",") if args.g else sweep.g)]
     eta_values = [float(v) for v in (
-        args.eta.split(",") if args.eta else sweep_cfg.get("eta", [0.5, 0.9, 1, 2, 4]))]
-    model_params = dict(cfg.get("model", {}).get("params", {}))
-    model_params.pop("g", None)
-    model_params.pop("eta", None)
-    base = SweepBaseConfig(
-        brunel=brunel_params(model_params),
-        adaptation=AdaptationConfig.from_dict(
-            {"seed": args.seed, **cfg.get("adaptation", {})}),
-        simulation=from_fields(
-            SimulationConfig, {"seed": args.seed, **cfg.get("simulation", {})},
-            "simulation"),
-        seed=args.seed,
-        **analysis,
-    )
+        args.eta.split(",") if args.eta else sweep.eta)]
+    base = SweepBaseConfig(sections.model, sections.adaptation,
+                           sections.simulation, sections.analysis, config.seed)
     grid = phase_sweep(g_values, eta_values, base, parallel=args.threads)
     out = _out_dir(args)
     (out / "sweep.csv").write_text(grid.to_csv())
@@ -177,21 +151,19 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = _load_config(args)
-    if cfg:
-        config = from_fields(PipelineConfig, {"seed": args.seed, **cfg},
-                             "config")
+    if args.config:
+        config, _ = _load_config(args)
     else:
         config = scaled_brunel_config(seed=args.seed,
                                       duration=args.duration or 2000.0)
-    result = run_pipeline(config, _out_dir(args))
+    # run_pipeline checks config.sections() before it makes the directory
+    result = run_pipeline(config, args.out_dir)
     print(result.throughput.render_text())
     return EXIT_OK
 
 
 def cmd_wafer_report(args) -> int:
-    cfg = _load_config(args)
-    topology = WaferTopology.from_dict(cfg.get("topology") or {})
+    topology = _load_config(args)[0].sections().topology or WaferTopology()
     doc = {
         "topology": topology.to_dict(),
         "n_asics": topology.n_asics,
@@ -273,7 +245,8 @@ def _classify_exit(exc: Exception) -> int:
         return _classify_exit(exc.cause)
     if isinstance(exc, SimulationDiagnosticError):
         return EXIT_DIAGNOSTIC
-    if isinstance(exc, _CAPACITY_ERRORS):
+    if isinstance(exc, (CapacityError, InfeasibleFanInError,
+                        PlacementOverflowError, MappingMismatchError)):
         return EXIT_CAPACITY
     return EXIT_VALIDATION
 
@@ -282,22 +255,9 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationFailure, ValueError, OSError, KeyError,
-            json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except StageFailure as exc:
+    except (WafersimError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _classify_exit(exc)
-    except SimulationDiagnosticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIAGNOSTIC
-    except _CAPACITY_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except WafersimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

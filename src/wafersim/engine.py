@@ -660,9 +660,8 @@ _SPIKE_DTYPE = np.dtype([("time", "<f8"), ("id", "<u4")])
 
 def _record_header(record: SpikeRecord) -> dict:
     return {
-        "config_hash": SimulationConfig(**{
-            k: v for k, v in record.config.items()
-        }).content_hash() if record.config else "",
+        "config_hash": (SimulationConfig(**record.config).content_hash()
+                        if record.config else ""),
         "duration_ms": record.duration,
         "dt_ms": record.dt,
         "n_neurons": record.n_neurons,

@@ -10,7 +10,7 @@ per-ASIC splits are modeling choices and fully config-overridable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -73,15 +73,7 @@ class WaferTopology:
         return list(zip(rr.tolist(), cc.tolist()))
 
     def to_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "available": self.available.astype(int).tolist(),
-            "circuits_per_asic": self.circuits_per_asic,
-            "fanin_per_circuit": self.fanin_per_circuit,
-            "max_merge": self.max_merge,
-            "route_capacity": self.route_capacity,
-        }
+        return {**asdict(self), "available": self.available.astype(int).tolist()}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "WaferTopology":

@@ -14,14 +14,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import os
 import queue
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -539,12 +540,48 @@ _FLOAT32_SIDECAR_MAGIC = b"WSED"
 
 
 def from_fields(cls, doc: dict, what: str):
-    """``cls(**doc)`` for the dataclass ``cls``; a key of ``doc`` that is not
-    a field of ``cls`` raises ``WafersimError`` naming the key."""
-    unknown = set(doc) - {f.name for f in fields(cls)}
+    """``cls(**doc)`` for the dataclass ``cls``.  An unknown or missing key,
+    or a value that its field's annotation does not admit, raises
+    ``WafersimError`` naming the key.  Values are checked, not converted:
+    an ``int`` passes for a ``float`` and a ``bool`` never for a number; a
+    dict for a dataclass field is built by ``from_fields`` in turn."""
+    if not isinstance(doc, dict):
+        raise WafersimError(f"{what} must be an object, got {doc!r}")
+    known = {f.name: f for f in fields(cls)}
+    unknown = set(doc) - known.keys()
     if unknown:
         raise WafersimError(f"unknown {what} fields: {sorted(unknown)}")
-    return cls(**doc)
+    missing = [k for k, f in known.items() if k not in doc and
+               f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise WafersimError(f"missing {what} fields: {missing}")
+    hints = get_type_hints(cls)
+    return cls(**{k: _typed(hints[k], v, f"{what}.{k}")
+                  for k, v in doc.items()})
+
+
+# what an annotation admits: any integer for int, any real for float
+_ADMITS = {int: numbers.Integral, float: numbers.Real}
+
+
+def _typed(tp, value, what: str):
+    """``value`` if the annotation ``tp`` admits it (for a dataclass
+    annotation, the dataclass built from it); else ``WafersimError``."""
+    if get_origin(tp) is Union:  # Optional[T]
+        if value is None:
+            return None
+        tp = next(a for a in get_args(tp) if a is not type(None))
+    if is_dataclass(tp) and isinstance(value, dict):
+        return from_fields(tp, value, what)
+    origin, args = get_origin(tp) or tp, get_args(tp)
+    if isinstance(value, (bool, np.bool_)) and origin is not bool or \
+            not isinstance(value, _ADMITS.get(origin, origin)):
+        raise WafersimError(f"{what} must be {getattr(tp, '__name__', tp)}, "
+                            f"got {value!r}")
+    if args and origin in (list, dict):  # the items of list[T], dict[K, T]
+        for k, v in enumerate(value) if origin is list else value.items():
+            _typed(args[-1], v, f"{what}[{k!r}]")
+    return value
 
 
 def _rebuild(what: str) -> WafersimError:
@@ -557,27 +594,14 @@ def spec_to_dict(spec: NetworkSpec) -> dict:
     return {
         "seed": spec.seed,
         "populations": [
-            {
-                "pid": p.pid,
-                "size": p.size,
-                "sign": p.sign.value,
-                "params": vars(p.params).copy(),
-                "params_per_neuron": {
-                    k: np.asarray(v).tolist() for k, v in p.params_per_neuron.items()
-                },
-            }
+            {**vars(p), "sign": p.sign.value, "params": vars(p.params).copy(),
+             "params_per_neuron": {k: np.asarray(v).tolist()
+                                   for k, v in p.params_per_neuron.items()}}
             for p in spec.populations
         ],
         "projections": [
-            {
-                "pid": pr.pid,
-                "source": pr.source,
-                "target": pr.target,
-                "connector": _connector_to_dict(pr.connector),
-                "weight": pr.weight,
-                "delay": pr.delay,
-                "kind": pr.kind.value,
-            }
+            {**vars(pr), "connector": _connector_to_dict(pr.connector),
+             "kind": pr.kind.value}
             for pr in spec.projections
         ],
         "stimuli": [

@@ -9,13 +9,14 @@ mapping.  Network translation is required only once per structure.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
 from .adaptation import AdaptationConfig, AdaptationReport, adapt_pipeline
 from .analysis import (
-    RegimeThresholds,
+    AnalysisConfig,
     classify_regime,
     cv_isi,
     mean_rates,
@@ -48,7 +49,6 @@ from .models import (
 )
 from .network import (
     NetworkSpec,
-    NeuronParameters,
     WafersimError,
     ensure_sampled,
     from_fields,
@@ -69,6 +69,35 @@ class StageFailure(WafersimError):
         self.cause = cause
 
 
+@contextmanager
+def _stage(name: str):
+    """Raise what fails in the block as the ``StageFailure`` of ``name``."""
+    try:
+        yield
+    except Exception as exc:
+        raise StageFailure(name, exc)
+
+
+@dataclass
+class ModelConfig:
+    """The ``model`` section of a pipeline config."""
+    name: Optional[str] = None  # "brunel" | "microcircuit"
+    params: dict = field(default_factory=dict)  # the fields of its params
+
+
+_MODEL_PARAMS = {"brunel": BrunelParams, "microcircuit": MicrocircuitParams}
+
+
+@dataclass
+class Sections:
+    """The typed sections of a ``PipelineConfig``."""
+    model: Union[BrunelParams, MicrocircuitParams, None]  # None: none named
+    adaptation: AdaptationConfig
+    topology: Optional[WaferTopology]  # None disables mapping
+    simulation: SimulationConfig
+    analysis: AnalysisConfig
+
+
 @dataclass
 class PipelineConfig:
     model: dict
@@ -78,33 +107,48 @@ class PipelineConfig:
     analysis: dict = field(default_factory=dict)
     seed: int = 0
 
-    @classmethod
-    def from_file(cls, path: Union[str, Path]) -> "PipelineConfig":
-        return from_fields(cls, json.loads(Path(path).read_text()), "config")
-
     def to_dict(self) -> dict:
         return asdict(self)
 
+    def sections(self) -> Sections:
+        """Every section typed by ``from_fields`` and checked, so that a bad
+        one fails before any work; ``seed`` is the default seed of the
+        adaptation and simulation sections.  A bad section raises the
+        ``StageFailure`` of the stage that reads it."""
+        with _stage("build"):
+            model = from_fields(ModelConfig, self.model, "model")
+            cls = _MODEL_PARAMS.get(model.name)
+            if cls is None and (model.name is not None or model.params):
+                raise WafersimError(f"unknown model {model.name!r}: name one "
+                                    f"of {sorted(_MODEL_PARAMS)}")
+            params = cls and from_fields(cls, model.params, "model.params")
+            if params:
+                params.check()
+        with _stage("adapt"):
+            adaptation = from_fields(AdaptationConfig, {
+                "seed": self.seed, **self.adaptation}, "adaptation")
+            adaptation.check()
+        with _stage("map"):
+            topology = None if self.topology is None else \
+                WaferTopology.from_dict(self.topology)
+        with _stage("simulate"):
+            simulation = from_fields(SimulationConfig, {
+                "seed": self.seed, **self.simulation}, "simulation")
+            simulation.check()
+        with _stage("analyze"):
+            analysis = from_fields(AnalysisConfig, self.analysis, "analysis")
+            analysis.check()
+        return Sections(params, adaptation, topology, simulation, analysis)
 
-def brunel_params(params: dict) -> BrunelParams:
-    """The ``BrunelParams`` of a config's ``model.params``; its ``neuron``
-    section becomes ``NeuronParameters``."""
-    params = dict(params)
-    if "neuron" in params:
-        params["neuron"] = from_fields(NeuronParameters, params["neuron"],
-                                       "neuron")
-    return from_fields(BrunelParams, params, "brunel")
 
-
-def build_model(model: dict, seed: int) -> NetworkSpec:
-    name = model.get("name")
-    params = model.get("params", {})
-    if name == "brunel":
-        return build_brunel(brunel_params(params), seed=seed)
-    if name == "microcircuit":
-        return build_microcircuit(
-            from_fields(MicrocircuitParams, params, "microcircuit"), seed=seed)
-    raise WafersimError(f"unknown model '{name}'")
+def build_model(params: Union[BrunelParams, MicrocircuitParams, None],
+                seed: int) -> NetworkSpec:
+    """The network of ``Sections.model``."""
+    if isinstance(params, BrunelParams):
+        return build_brunel(params, seed=seed)
+    if isinstance(params, MicrocircuitParams):
+        return build_microcircuit(params, seed=seed)
+    raise WafersimError("no model given: the model section names none")
 
 
 @dataclass
@@ -138,8 +182,6 @@ def scaled_microcircuit_config(seed: int = 0, duration: float = 10000.0,
                                topology: Optional[dict] = None) -> PipelineConfig:
     """Cortical microcircuit scaled to 7713 neurons; the in-degree scale is
     chosen so the post-mapping synapse count lands near 2.374 million."""
-    if topology is None:
-        topology = {}
     return PipelineConfig(
         model={"name": "microcircuit", "params": {}},
         adaptation={
@@ -147,54 +189,34 @@ def scaled_microcircuit_config(seed: int = 0, duration: float = 10000.0,
             "indegree_scale": 0.09,
             "leak_shift_input": True,
         },
-        topology=topology,
+        topology={} if topology is None else topology,
         simulation={"duration": duration},
         seed=seed,
     )
 
 
-# the keys of an analysis config section, with their types
-_ANALYSIS_KEYS = {"window_start": float, "window_end": float, "bins": int,
-                  "synchrony_bin_ms": float}
-
-
-def analysis_settings(analysis_cfg: dict) -> dict:
-    """The keys that an ``analysis`` config section sets, with typed values.
-    ``window_start`` and ``window_end`` are in ms, ``bins`` counts the bins
-    of each rate histogram and ``synchrony_bin_ms`` is the synchrony bin;
-    any other key raises ``WafersimError``."""
-    unknown = set(analysis_cfg) - _ANALYSIS_KEYS.keys()
-    if unknown:
-        raise WafersimError(f"unknown analysis fields: {sorted(unknown)}")
-    return {k: _ANALYSIS_KEYS[k](v) for k, v in analysis_cfg.items()}
-
-
-def write_analysis(record: SpikeRecord, analysis_cfg: dict, out_dir: Path,
-                   window_start: Optional[float] = None) -> tuple[dict, dict]:
+def write_analysis(record: SpikeRecord, analysis: AnalysisConfig,
+                   out_dir: Path) -> tuple[dict, dict]:
     """The analyze stage: write ``rates.csv``, ``rate_histograms.csv`` and
     ``analysis.json`` for ``record`` into ``out_dir``.
 
-    ``analysis_cfg`` is checked by ``analysis_settings``; a ``window_start``
-    argument overrides the config.  CV, synchrony and the regime are added
-    to the summary only with at least 2 recorded neurons and a window of at
-    least 20 ms.  Returns the summary and the written artifacts by name.
+    CV, synchrony and the regime are added to the summary only with at
+    least 2 recorded neurons and a window of at least 20 ms.  Returns the
+    summary and the written artifacts by name.
     """
-    settings = analysis_settings(analysis_cfg)
-    if window_start is None:
-        window_start = settings.get("window_start",
-                                    min(1000.0, record.duration / 2))
-    window = (float(window_start),
-              settings.get("window_end", float(record.duration)))
+    start, end = analysis.window_start, analysis.window_end
+    if start is None:
+        start = min(1000.0, record.duration / 2)
+    window = (float(start), float(record.duration if end is None else end))
     rates = mean_rates(record, window)
     lines = ["population,mean_rate_hz"]
     for pid, rate in rates.per_population_mean.items():
         lines.append(f"{pid},{rate:.6f}")
     (out_dir / "rates.csv").write_text("\n".join(lines) + "\n")
     hist_lines = ["population,bin_lo_hz,bin_hi_hz,count"]
-    bins = settings.get("bins", 20)
     for pid in record.population_slices:
         try:
-            hist = rate_distribution(record, pid, window, bins=bins)
+            hist = rate_distribution(record, pid, window, bins=analysis.bins)
         except WafersimError:
             continue
         for lo, hi, c in zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts):
@@ -206,11 +228,10 @@ def write_analysis(record: SpikeRecord, analysis_cfg: dict, out_dir: Path,
     }
     if len(rates.recorded_neurons) >= 2 and (window[1] - window[0]) >= 20.0:
         cv = cv_isi(record, window)
-        sync = synchrony(record, window,
-                         settings.get("synchrony_bin_ms", 2.0))
+        sync = synchrony(record, window, analysis.synchrony_bin_ms)
         summary["cv_isi_mean"] = cv.mean()
         summary["synchrony"] = sync
-        summary["regime"] = classify_regime(rates, cv, sync, RegimeThresholds())
+        summary["regime"] = classify_regime(rates, cv, sync)
     (out_dir / "analysis.json").write_text(json.dumps(summary, indent=2))
     return summary, {"rates": out_dir / "rates.csv",
                      "histograms": out_dir / "rate_histograms.csv",
@@ -288,52 +309,39 @@ def run_pipeline(config: Union[PipelineConfig, str, Path, dict],
     """Execute all stages, writing intermediate files; idempotent reruns
     reuse the cached mapping when structure and topology hashes match."""
     if isinstance(config, (str, Path)):
-        config = PipelineConfig.from_file(config)
-    elif isinstance(config, dict):
+        config = json.loads(Path(config).read_text())
+    if not isinstance(config, PipelineConfig):
         config = from_fields(PipelineConfig, config, "config")
-    analysis_settings(config.analysis)  # a bad key fails before any work
+    sections = config.sections()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = {}
 
-    try:
-        spec = build_model(config.model, config.seed)
-    except Exception as exc:
-        raise StageFailure("build", exc)
+    with _stage("build"):
+        spec = build_model(sections.model, config.seed)
     report = validate_network(spec)
     if not report.ok:
         raise ValidationFailure("; ".join(report.findings))
     artifacts["spec"] = save_spec(spec, out_dir / "spec.json")
 
-    try:
-        adapted, _, paths = adapt_stage(spec, AdaptationConfig.from_dict(
-            {"seed": config.seed, **config.adaptation}), out_dir)
-    except Exception as exc:
-        raise StageFailure("adapt", exc)
+    with _stage("adapt"):
+        adapted, _, paths = adapt_stage(spec, sections.adaptation, out_dir)
     artifacts.update(paths)
 
     mapping_cached = False
     run_spec = adapted
-    if config.topology is not None:
-        try:
+    if sections.topology is not None:
+        with _stage("map"):
             run_spec, _, mapping_cached, paths = map_stage(
-                adapted, WaferTopology.from_dict(config.topology), out_dir)
-        except Exception as exc:
-            raise StageFailure("map", exc)
+                adapted, sections.topology, out_dir)
         artifacts.update(paths)
 
-    try:
-        record, paths = simulate_stage(run_spec, from_fields(
-            SimulationConfig, {"seed": config.seed, **config.simulation},
-            "simulation"), out_dir)
-    except Exception as exc:
-        raise StageFailure("simulate", exc)
+    with _stage("simulate"):
+        record, paths = simulate_stage(run_spec, sections.simulation, out_dir)
     artifacts.update(paths)
 
-    try:
-        artifacts.update(write_analysis(record, config.analysis, out_dir)[1])
-    except Exception as exc:
-        raise StageFailure("analyze", exc)
+    with _stage("analyze"):
+        artifacts.update(write_analysis(record, sections.analysis, out_dir)[1])
 
     throughput = throughput_metrics(record)
     (out_dir / "throughput.json").write_text(

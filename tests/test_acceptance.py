@@ -24,7 +24,12 @@ from wafersim.adaptation import (
     convert_current_to_conductance,
     substitute_poisson_pool,
 )
-from wafersim.analysis import SweepBaseConfig, mean_rates, phase_sweep
+from wafersim.analysis import (
+    AnalysisConfig,
+    SweepBaseConfig,
+    mean_rates,
+    phase_sweep,
+)
 from wafersim.bench import reference_table
 from wafersim.engine import (
     SimulationConfig,
@@ -85,7 +90,7 @@ def sweep_grid():
             neuron_scale=2083 / 12400, indegree_scale=0.2673,
             poisson_pool={"pool_size": 2083, "samples_per_target": 200}),
         simulation=SimulationConfig(dt=0.1, duration=2000.0),
-        window_start=500.0, seed=0)
+        analysis=AnalysisConfig(window_start=500.0), seed=0)
     start = time.monotonic()
     grid = phase_sweep([2.0, 3.0, 4.0, 5.0, 6.0, 8.0],
                        [0.5, 0.9, 1.0, 2.0, 4.0], base, parallel=4)
@@ -356,7 +361,7 @@ def test_08_determinism(tmp_path):
     base = SweepBaseConfig(
         brunel=BrunelParams(n_total=200), adaptation=AdaptationConfig(),
         simulation=SimulationConfig(dt=0.1, duration=400.0),
-        window_start=100.0, seed=3)
+        analysis=AnalysisConfig(window_start=100.0), seed=3)
     serial = phase_sweep([4.0, 6.0], [1.0, 2.0], base, parallel=1).to_csv()
     parallel = phase_sweep([4.0, 6.0], [1.0, 2.0], base, parallel=4).to_csv()
     sweep_equal = hashlib.sha256(serial.encode()).hexdigest() == \

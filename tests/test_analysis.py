@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from wafersim.adaptation import AdaptationConfig
 from wafersim.analysis import (
+    AnalysisConfig,
     Regime,
     RegimeThresholds,
     SweepBaseConfig,
@@ -236,7 +237,7 @@ def sweep_base(duration=600.0, n=300):
         brunel=BrunelParams(n_total=n),
         adaptation=AdaptationConfig(),
         simulation=SimulationConfig(dt=0.1, duration=duration),
-        window_start=200.0,
+        analysis=AnalysisConfig(window_start=200.0),
         seed=3,
     )
 

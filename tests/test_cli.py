@@ -21,6 +21,12 @@ def write_config(tmp_path, doc, name="config.json"):
     return str(path)
 
 
+# a one-cell sweep of a small network, for cases that break one section
+SMALL_SWEEP = {"model": {"params": {"n_total": 200}},
+               "simulation": {"duration": 100.0},
+               "sweep": {"g": [4], "eta": [2]}}
+
+
 def small_model_config(tmp_path, **extra):
     return write_config(tmp_path, {
         "model": {"params": {"n_total": 200}},
@@ -108,8 +114,8 @@ class TestStageCommands:
                      "--out-dir", str(tmp_path)])
         assert code == EXIT_VALIDATION
 
-    # an unknown key in each section a subcommand reads: exit 2, and the
-    # message names the key
+    # an unknown key or a wrong-typed value in any section: exit 2, the
+    # message names the key, and no file is written
     @pytest.mark.parametrize("command,doc,key", [pytest.param(*case, id=case[0])
                                                  for case in (
         ("build", {"model": {"name": "brunel", "params": {"n_totl": 200}}},
@@ -128,7 +134,46 @@ class TestStageCommands:
                                "sweep": {"g": [4], "eta": [2]},
                                "analysis": {key: 50}}, key, id=f"sweep-{key}")
         for key in ("window_strat", "window_end", "bins")
-    ])
+    ] + [pytest.param(*case, id=f"{case[0].split()[0]}-{case[2]}-{name}")
+         for name, case in (
+        ("type", ("build", {"model": {"name": "brunel", "params": {"g": "5"}}},
+                  "g")),
+        ("unknown", ("build", {"model": {"name": "brunel", "extra": 1}},
+                     "extra")),
+        ("type", ("adapt", {"adaptation": {"neuron_scale": "0.1"}},
+                  "neuron_scale")),
+        ("missing", ("adapt", {"adaptation": {
+            "poisson_pool": {"pool_size": 10}}}, "samples_per_target")),
+        ("unknown", ("adapt", {"adaptation": {"poisson_pool": {
+            "pool_size": 10, "samples_per_target": 5, "size": 3}}}, "size")),
+        ("type", ("map", {"topology": {"route_capacity": "4"}},
+                  "route_capacity")),
+        ("type", ("simulate", {"simulation": {"duration": "20"}}, "duration")),
+        ("type", ("simulate", {"simulation": {"membrane_probes": 3}},
+                  "membrane_probes")),
+        ("type", ("wafer report", {"topology": {"rows": "4"}}, "rows")),
+        ("unknown", ("wafer report", {"topology": {"rowz": 4}}, "rowz")),
+        ("float", ("analyze", {"analysis": {"bins": 3.7}}, "bins")),
+        ("bool", ("analyze", {"analysis": {"window_start": True}},
+                  "window_start")),
+        # a section that the command does not read is checked all the same
+        ("other", ("simulate", {"analysis": {"bins": 3.7}}, "bins")),
+        ("unknown", ("sweep", {**SMALL_SWEEP, "sweep": {"gg": [5]}}, "gg")),
+        ("type", ("sweep", {**SMALL_SWEEP, "sweep": {"g": ["5"]}}, "g")),
+        ("refused", ("sweep", {**SMALL_SWEEP, "topology": {}}, "topology")),
+        ("refused", ("sweep", {**SMALL_SWEEP, "model": {
+            "name": "microcircuit", "params": {"n_total": 200}}},
+            "microcircuit")),
+        ("type", ("sweep", {**SMALL_SWEEP, "simulation": {"duration": "300"}},
+                  "duration")),
+        ("unknown", ("bench", {"model": {"name": "brunel"},
+                               "adaptation": {"neuron_scal": 0.5}},
+                     "neuron_scal")),
+        ("unknown", ("bench", {"model": {"name": "brunel"},
+                               "topology": {"rowz": 2}}, "rowz")),
+        ("type", ("bench", {"model": {"name": "brunel"},
+                            "simulation": {"dt": "0.1"}}, "dt")),
+    )])
     def test_unknown_config_key_exit_2(self, built, capsys, command, doc, key):
         spec = {"adapt": ["spec.json"], "map": ["adapted.json"],
                 "simulate": ["spec.json"],
@@ -141,10 +186,12 @@ class TestStageCommands:
                          "100", "--out-dir", str(built)]) == EXIT_OK
         capsys.readouterr()
         cfg = write_config(built, doc, name="unknown.json")
-        code = main([command, *(str(built / s) for s in spec),
+        before = {p: p.stat().st_mtime_ns for p in built.rglob("*")}
+        code = main([*command.split(), *(str(built / s) for s in spec),
                      "--out-dir", str(built), "--config", cfg])
         assert code == EXIT_VALIDATION
         assert key in capsys.readouterr().err
+        assert {p: p.stat().st_mtime_ns for p in built.rglob("*")} == before
 
     def test_bench_checks_analysis_before_simulating(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
@@ -171,7 +218,8 @@ class TestStageCommands:
             main(["sweep", "--g", "4", "--eta", "2", "--out-dir",
                   str(tmp_path), "--config", cfg])
         base = caught.value.args[0]
-        assert (base.window_start, base.synchrony_bin_ms) == (120.0, 4.0)
+        assert (base.analysis.window_start,
+                base.analysis.synchrony_bin_ms) == (120.0, 4.0)
 
     # a full pipeline config without the section a command reads: that
     # section's defaults, not the whole document taken as the section
@@ -209,24 +257,28 @@ class TestStageCommands:
 
 def test_stage_commands_write_what_run_pipeline_writes(tmp_path, capsys):
     config = small_config()
-    cli_dir, pipeline_dir = tmp_path / "cli", tmp_path / "pipeline"
-    args = ["--out-dir", str(cli_dir), "--seed", str(config.seed),
-            "--config", write_config(tmp_path, config.to_dict())]
-    assert main(["build", *args]) == EXIT_OK
-    for command, spec in (("adapt", "spec.json"), ("map", "adapted.json"),
-                          ("simulate", "mapped.json")):
-        assert main([command, str(cli_dir / spec), *args]) == EXIT_OK
+    assert config.seed != 0
+    pipeline_dir = tmp_path / "pipeline"
     result = run_pipeline(config, pipeline_dir)
     (cache,) = pipeline_dir.glob("mapping_*_*.json")
-    for name in ("spec.json", "spec.json.edges", "adapted.json",
-                 "adapted.json.edges", cache.name, "mapped.json",
-                 "mapped.json.edges"):
-        assert (cli_dir / name).read_bytes() == \
-            (pipeline_dir / name).read_bytes(), name
-    record = load_spikes_binary(cli_dir / "spikes.bin")
-    assert np.array_equal(record.times, result.record.times)
-    assert np.array_equal(record.ids, result.record.ids)
-    assert record.deliveries == result.record.deliveries
+    # the seed given by --seed and the document, then by the document alone
+    for cli_dir, seed in ((tmp_path / "cli", ["--seed", str(config.seed)]),
+                          (tmp_path / "cli_doc_seed", [])):
+        args = ["--out-dir", str(cli_dir), *seed,
+                "--config", write_config(tmp_path, config.to_dict())]
+        assert main(["build", *args]) == EXIT_OK
+        for command, spec in (("adapt", "spec.json"), ("map", "adapted.json"),
+                              ("simulate", "mapped.json")):
+            assert main([command, str(cli_dir / spec), *args]) == EXIT_OK
+        for name in ("spec.json", "spec.json.edges", "adapted.json",
+                     "adapted.json.edges", cache.name, "mapped.json",
+                     "mapped.json.edges"):
+            assert (cli_dir / name).read_bytes() == \
+                (pipeline_dir / name).read_bytes(), name
+        record = load_spikes_binary(cli_dir / "spikes.bin")
+        assert np.array_equal(record.times, result.record.times)
+        assert np.array_equal(record.ids, result.record.ids)
+        assert record.deliveries == result.record.deliveries
     # a second map reuses the cache entry instead of remapping into it
     before = (cli_dir / cache.name).stat()
     capsys.readouterr()
