@@ -11,10 +11,7 @@ import sys
 import time
 from pathlib import Path
 
-from wafersim.adaptation import AdaptationConfig
-from wafersim.analysis import AnalysisConfig, SweepBaseConfig, phase_sweep
-from wafersim.engine import SimulationConfig
-from wafersim.models import BrunelParams
+from wafersim.pipeline import phase_sweep, scaled_brunel_config
 
 
 def parse_values(text):
@@ -33,16 +30,10 @@ def main():
     ap.add_argument("--out", type=Path, default=Path("sweep.csv"))
     args = ap.parse_args()
 
-    base = SweepBaseConfig(
-        brunel=BrunelParams(),
-        adaptation=AdaptationConfig(
-            neuron_scale=2083 / 12400, indegree_scale=0.2673,
-            poisson_pool={"pool_size": 2083, "samples_per_target": 200}),
-        simulation=SimulationConfig(dt=0.1, duration=args.duration),
-        analysis=AnalysisConfig(window_start=args.window_start),
-        seed=args.seed)
+    config = scaled_brunel_config(seed=args.seed, duration=args.duration)
+    config.analysis = {"window_start": args.window_start}
     start = time.monotonic()
-    grid = phase_sweep(args.g, args.eta, base, parallel=args.parallel)
+    grid = phase_sweep(config, args.g, args.eta, parallel=args.parallel)
     wall = time.monotonic() - start
     args.out.write_text(grid.to_csv())
     print(grid.to_csv())

@@ -6,11 +6,9 @@ from .adaptation import AdaptationConfig, AdaptationReport, adapt_pipeline
 from .analysis import (
     AnalysisConfig,
     RegimeThresholds,
-    SweepBaseConfig,
     classify_regime,
     cv_isi,
     mean_rates,
-    phase_sweep,
     rate_distribution,
     synchrony,
 )
@@ -47,6 +45,7 @@ from .network import (
 )
 from .pipeline import (
     PipelineConfig,
+    phase_sweep,
     run_pipeline,
     scaled_brunel_config,
     scaled_microcircuit_config,

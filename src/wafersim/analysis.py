@@ -1,24 +1,19 @@
 """Statistics over spike records: mean rates, rate distributions, ISI
-irregularity, synchrony, firing-regime classification, and the (g, eta)
-parameter sweep driver.
+irregularity, synchrony and firing-regime classification.
 
-Warmup handling lives here (window start), not in the engine: the standard
-protocol analyzes the 9 s after a 1 s onset for 10 s runs.
+Warmup handling lives in the analysis window (``AnalysisConfig``), not in
+the engine: the standard protocol analyzes the 9 s after a 1 s onset for
+10 s runs.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .adaptation import AdaptationConfig, adapt_pipeline
-from .engine import SimulationConfig, SpikeRecord, simulate
-from .models import BrunelParams, build_brunel
+from .engine import SpikeRecord
 from .network import WafersimError
 
 
@@ -222,113 +217,3 @@ def classify_regime(rate_summary: RateSummary, cv: CvIsiResult,
     if not synchronous:
         return Regime.AI
     return Regime.SI_FAST if rate >= th.si_fast_rate else Regime.SI_SLOW
-
-
-# --- phase sweep --------------------------------------------------------------
-
-
-@dataclass
-class SweepCell:
-    g: float
-    eta: float
-    mean_rate_exc: float
-    mean_rate_inh: float
-    cv: float
-    synchrony: float
-    regime: str
-    error: Optional[str] = None
-
-
-@dataclass
-class SweepGrid:
-    g_values: list[float]
-    eta_values: list[float]
-    cells: dict[tuple[float, float], SweepCell]
-    partial: bool = False
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["g", "eta", "mean_rate_exc", "mean_rate_inh",
-                         "cv", "synchrony", "regime"])
-        for g in self.g_values:
-            for eta in self.eta_values:
-                c = self.cells.get((g, eta))
-                if c is None or c.error:
-                    writer.writerow([g, eta, "", "", "", "", "failed"])
-                else:
-                    writer.writerow([
-                        c.g, c.eta, f"{c.mean_rate_exc:.4f}",
-                        f"{c.mean_rate_inh:.4f}", f"{c.cv:.4f}",
-                        f"{c.synchrony:.4f}", c.regime,
-                    ])
-        return buf.getvalue()
-
-
-@dataclass
-class SweepConfig:
-    """The ``sweep`` section of a config document: the grid's axes."""
-    g: list[float] = field(default_factory=lambda: [2, 3, 4, 5, 6, 8])
-    eta: list[float] = field(default_factory=lambda: [0.5, 0.9, 1, 2, 4])
-
-
-@dataclass
-class SweepBaseConfig:
-    brunel: BrunelParams
-    adaptation: AdaptationConfig
-    simulation: SimulationConfig
-    # its window_start (ms discarded as warmup) is 500 when not set
-    analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
-    seed: int = 0
-
-
-def run_sweep_cell(base: SweepBaseConfig, g: float, eta: float) -> SweepCell:
-    """Build, adapt, simulate and analyze one (g, eta) cell.
-
-    Cells with identical seeds are reproducible independently of sweep
-    scheduling; a single cell equals a direct run with the same settings.
-    """
-    params = replace(base.brunel, g=g, eta=eta)
-    spec = build_brunel(params, seed=base.seed)
-    adapted, _ = adapt_pipeline(spec, base.adaptation)
-    record = simulate(adapted, base.simulation)
-    start = base.analysis.window_start
-    window = (500.0 if start is None else start, record.duration)
-    rates = mean_rates(record, window)
-    cv = cv_isi(record, window)
-    sync = synchrony(record, window, base.analysis.synchrony_bin_ms)
-    regime = classify_regime(rates, cv, sync)
-    return SweepCell(
-        g=g, eta=eta,
-        mean_rate_exc=rates.per_population_mean.get("exc", 0.0),
-        mean_rate_inh=rates.per_population_mean.get("inh", 0.0),
-        cv=cv.mean(), synchrony=sync, regime=regime,
-    )
-
-
-def _sweep_worker(args) -> tuple[tuple[float, float], SweepCell]:
-    base, g, eta = args
-    try:
-        return (g, eta), run_sweep_cell(base, g, eta)
-    except Exception as exc:  # per-cell failures mark the grid partial
-        return (g, eta), SweepCell(g, eta, 0, 0, float("nan"), float("nan"),
-                                   "failed", error=str(exc))
-
-
-def phase_sweep(g_values: list[float], eta_values: list[float],
-                base: SweepBaseConfig, parallel: int = 1) -> SweepGrid:
-    """Sweep the (g, eta) grid; cells are independent jobs."""
-    if not g_values or not eta_values:
-        raise WafersimError("g and eta lists must be nonempty")
-    jobs = [(base, g, eta) for g in g_values for eta in eta_values]
-    results: dict[tuple[float, float], SweepCell] = {}
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            for key, cell in pool.map(_sweep_worker, jobs):
-                results[key] = cell
-    else:
-        for job in jobs:
-            key, cell = _sweep_worker(job)
-            results[key] = cell
-    partial = any(c.error for c in results.values())
-    return SweepGrid(list(g_values), list(eta_values), results, partial=partial)

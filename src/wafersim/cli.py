@@ -12,7 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-from .analysis import SweepBaseConfig, SweepConfig, phase_sweep
 from .engine import SimulationDiagnosticError, load_spikes_binary
 from .hardware import (
     CapacityError,
@@ -32,9 +31,11 @@ from .network import (
 from .pipeline import (
     PipelineConfig,
     StageFailure,
+    SweepConfig,
     adapt_stage,
     build_model,
     map_stage,
+    phase_sweep,
     run_pipeline,
     scaled_brunel_config,
     simulate_stage,
@@ -126,22 +127,12 @@ def cmd_analyze(args) -> int:
 def cmd_sweep(args) -> int:
     config, sweep = _load_config(args)
     config.model = {"name": "brunel", **config.model}
-    if config.model["name"] != "brunel":
-        raise WafersimError(f"sweep runs brunel, not {config.model['name']!r}")
-    if config.topology is not None:
-        raise WafersimError("sweep refuses a topology: it maps no cell")
-    unused = sorted({"window_end", "bins"} & config.analysis.keys())
-    if unused:
-        raise WafersimError(f"sweep refuses analysis fields {unused}: its "
-                            f"cells analyze from window_start to the end of "
-                            f"the run and write no rate histograms")
-    sections = config.sections()
+    if config.analysis.get("window_start") is None:  # the sweep's 500 ms
+        config.analysis = {**config.analysis, "window_start": 500.0}
     g_values = [float(v) for v in (args.g.split(",") if args.g else sweep.g)]
     eta_values = [float(v) for v in (
         args.eta.split(",") if args.eta else sweep.eta)]
-    base = SweepBaseConfig(sections.model, sections.adaptation,
-                           sections.simulation, sections.analysis, config.seed)
-    grid = phase_sweep(g_values, eta_values, base, parallel=args.threads)
+    grid = phase_sweep(config, g_values, eta_values, parallel=args.threads)
     out = _out_dir(args)
     (out / "sweep.csv").write_text(grid.to_csv())
     print(grid.to_csv(), end="")

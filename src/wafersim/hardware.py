@@ -78,8 +78,16 @@ class WaferTopology:
     @classmethod
     def from_dict(cls, doc: dict) -> "WaferTopology":
         doc = dict(doc)
-        if doc.get("available") is not None:
-            doc["available"] = np.asarray(doc["available"], dtype=bool)
+        mask = doc.get("available")
+        if mask is not None:
+            # booleans, or the 0/1 that to_dict writes; nothing else
+            if not isinstance(mask, list) or not all(
+                    isinstance(row, list) and all(
+                        type(v) in (bool, int) and v in (0, 1) for v in row)
+                    for row in mask):
+                raise WafersimError(f"topology.available must be rows of "
+                                    f"booleans or 0/1, got {mask!r}")
+            doc["available"] = np.asarray(mask, dtype=bool)
         return from_fields(cls, doc, "topology")
 
     def content_hash(self) -> str:

@@ -25,6 +25,7 @@ from .network import (
     StimulusSpec,
     SynapseKind,
     WafersimError,
+    from_fields,
 )
 
 
@@ -137,20 +138,67 @@ def build_brunel(params: BrunelParams, seed: int = 0) -> NetworkSpec:
 # --- cortical microcircuit ----------------------------------------------------
 
 
-def load_microcircuit_data() -> dict:
+@dataclass
+class MicrocircuitWeights:
+    exc_nA: float  # every excitatory synapse but L4E -> L23E
+    l4e_to_l23e_nA: float
+    inh_rel: float  # inhibitory weight / exc_nA
+
+
+@dataclass
+class MicrocircuitDelays:
+    exc: float  # ms
+    inh: float  # ms
+
+
+@dataclass
+class MicrocircuitTable:
+    """The connectivity table of ``data/microcircuit_map.json``, or of a
+    ``model.params.data`` that replaces it; lists run over ``populations``."""
+    populations: list[str]
+    signs: list[str]  # "excitatory" | "inhibitory"
+    sizes: list[int]  # neurons at scale 1
+    connection_probabilities: list[list[float]]  # [target][source]
+    external_in_degrees: list[int]
+    external_rate_hz: float
+    weights: MicrocircuitWeights
+    delays_ms: MicrocircuitDelays
+    neuron: NeuronParameters
+    comment: str = ""
+
+    def check(self) -> None:
+        n = len(self.populations)
+        for name in ("signs", "sizes", "connection_probabilities",
+                     "external_in_degrees"):
+            if len(getattr(self, name)) != n:
+                raise ValueError(f"data.{name} must have one entry per "
+                                 f"population ({n})")
+        if any(len(row) != n for row in self.connection_probabilities):
+            raise ValueError(f"data.connection_probabilities must be {n} x {n}")
+        if not set(self.signs) <= {s.value for s in Sign}:
+            raise ValueError(f"data.signs must be 'excitatory' or "
+                             f"'inhibitory', got {self.signs!r}")
+
+
+def load_microcircuit_data() -> MicrocircuitTable:
+    """The bundled table, typed and checked as a ``model.params.data`` is."""
     with resources.files("wafersim.data").joinpath("microcircuit_map.json").open() as f:
-        return json.load(f)
+        table = from_fields(MicrocircuitTable, json.load(f), "microcircuit table")
+    table.check()
+    return table
 
 
 @dataclass
 class MicrocircuitParams:
     scale: float = 1.0  # uniform factor on population sizes
     external_rate: Optional[float] = None  # Hz per external input; None = table value
-    data: Optional[dict] = None  # override for the bundled table
+    data: Optional[MicrocircuitTable] = None  # replaces the bundled table
 
     def check(self) -> None:
         if self.scale <= 0:
             raise ValueError("scale must be > 0")
+        if self.data is not None:
+            self.data.check()
 
 
 def build_microcircuit(params: MicrocircuitParams, seed: int = 0) -> NetworkSpec:
@@ -163,28 +211,27 @@ def build_microcircuit(params: MicrocircuitParams, seed: int = 0) -> NetworkSpec
     """
     params.check()
     data = params.data or load_microcircuit_data()
-    names = data["populations"]
-    neuron = NeuronParameters(**data["neuron"])
-    sizes = [max(1, round_half_up(s * params.scale)) for s in data["sizes"]]
+    names = data.populations
+    sizes = [max(1, round_half_up(s * params.scale)) for s in data.sizes]
     pops = [
-        Population(name, size, replace(neuron), Sign(sign))
-        for name, size, sign in zip(names, sizes, data["signs"])
+        Population(name, size, replace(data.neuron), Sign(sign))
+        for name, size, sign in zip(names, sizes, data.signs)
     ]
-    w_exc = data["weights"]["exc_nA"]
-    w_inh = data["weights"]["inh_rel"] * w_exc
-    d_exc = data["delays_ms"]["exc"]
-    d_inh = data["delays_ms"]["inh"]
-    probs = data["connection_probabilities"]
+    w_exc = data.weights.exc_nA
+    w_inh = data.weights.inh_rel * w_exc
+    d_exc = data.delays_ms.exc
+    d_inh = data.delays_ms.inh
+    probs = data.connection_probabilities
     projs = []
     for ti, tgt in enumerate(names):
         for si, src in enumerate(names):
             p = probs[ti][si]
             if p <= 0.0:
                 continue
-            inhibitory = data["signs"][si] == "inhibitory"
+            inhibitory = data.signs[si] == "inhibitory"
             w = w_inh if inhibitory else w_exc
             if src == "L4E" and tgt == "L23E":
-                w = data["weights"]["l4e_to_l23e_nA"]
+                w = data.weights.l4e_to_l23e_nA
             projs.append(Projection(
                 pid=f"{src}->{tgt}", source=src, target=tgt,
                 connector=FixedProbability(p), weight=w,
@@ -192,12 +239,12 @@ def build_microcircuit(params: MicrocircuitParams, seed: int = 0) -> NetworkSpec
                 kind=SynapseKind.CURRENT_EXP,
             ))
     rate = params.external_rate if params.external_rate is not None \
-        else data["external_rate_hz"]
+        else data.external_rate_hz
     stimuli = [
         StimulusSpec(
             sid=f"ext->{name}", target=name, kind=StimulusKind.POISSON_PER_NEURON,
             rate=k_ext * rate, weight=w_exc, delay=d_exc,
         )
-        for name, k_ext in zip(names, data["external_in_degrees"])
+        for name, k_ext in zip(names, data.external_in_degrees)
     ]
     return NetworkSpec(populations=pops, projections=projs, stimuli=stimuli, seed=seed)

@@ -1,4 +1,5 @@
-"""End-to-end pipeline: build -> adapt -> map (cached) -> simulate -> analyze.
+"""End-to-end pipeline: build -> adapt -> map (cached) -> simulate -> analyze,
+and the (g, eta) phase sweep, whose cells run the same stages unmapped.
 
 Stage outputs are written to an output directory; the mapping stage is
 content-addressed by the structure hash of the adapted network and the
@@ -8,9 +9,12 @@ mapping.  Network translation is required only once per structure.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Union
 
@@ -195,22 +199,39 @@ def scaled_microcircuit_config(seed: int = 0, duration: float = 10000.0,
     )
 
 
-def write_analysis(record: SpikeRecord, analysis: AnalysisConfig,
-                   out_dir: Path) -> tuple[dict, dict]:
-    """The analyze stage: write ``rates.csv``, ``rate_histograms.csv`` and
-    ``analysis.json`` for ``record`` into ``out_dir``.
-
-    CV, synchrony and the regime are added to the summary only with at
-    least 2 recorded neurons and a window of at least 20 ms.  Returns the
-    summary and the written artifacts by name.
-    """
+def summarize(record: SpikeRecord, analysis: AnalysisConfig) -> dict:
+    """The analysis summary of ``record``: the window, the mean rate of each
+    population and, with at least 2 recorded neurons and a window of at
+    least the 10 bins that ``synchrony`` needs, the mean CV of ISI, the
+    synchrony index and the firing regime."""
     start, end = analysis.window_start, analysis.window_end
     if start is None:
         start = min(1000.0, record.duration / 2)
     window = (float(start), float(record.duration if end is None else end))
     rates = mean_rates(record, window)
+    summary = {
+        "window": list(window),
+        "per_population_mean_rate_hz": rates.per_population_mean,
+    }
+    n_bins = int((window[1] - window[0]) / analysis.synchrony_bin_ms)
+    if len(rates.recorded_neurons) >= 2 and n_bins >= 10:
+        cv = cv_isi(record, window)
+        sync = synchrony(record, window, analysis.synchrony_bin_ms)
+        summary["cv_isi_mean"] = cv.mean()
+        summary["synchrony"] = sync
+        summary["regime"] = classify_regime(rates, cv, sync)
+    return summary
+
+
+def write_analysis(record: SpikeRecord, analysis: AnalysisConfig,
+                   out_dir: Path) -> tuple[dict, dict]:
+    """The analyze stage: write ``rates.csv``, ``rate_histograms.csv`` and
+    ``analysis.json`` (the ``summarize`` summary) for ``record`` into
+    ``out_dir``.  Returns the summary and the written artifacts by name."""
+    summary = summarize(record, analysis)
+    window = tuple(summary["window"])
     lines = ["population,mean_rate_hz"]
-    for pid, rate in rates.per_population_mean.items():
+    for pid, rate in summary["per_population_mean_rate_hz"].items():
         lines.append(f"{pid},{rate:.6f}")
     (out_dir / "rates.csv").write_text("\n".join(lines) + "\n")
     hist_lines = ["population,bin_lo_hz,bin_hi_hz,count"]
@@ -222,16 +243,6 @@ def write_analysis(record: SpikeRecord, analysis: AnalysisConfig,
         for lo, hi, c in zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts):
             hist_lines.append(f"{pid},{lo:.4f},{hi:.4f},{c}")
     (out_dir / "rate_histograms.csv").write_text("\n".join(hist_lines) + "\n")
-    summary = {
-        "window": list(window),
-        "per_population_mean_rate_hz": rates.per_population_mean,
-    }
-    if len(rates.recorded_neurons) >= 2 and (window[1] - window[0]) >= 20.0:
-        cv = cv_isi(record, window)
-        sync = synchrony(record, window, analysis.synchrony_bin_ms)
-        summary["cv_isi_mean"] = cv.mean()
-        summary["synchrony"] = sync
-        summary["regime"] = classify_regime(rates, cv, sync)
     (out_dir / "analysis.json").write_text(json.dumps(summary, indent=2))
     return summary, {"rates": out_dir / "rates.csv",
                      "histograms": out_dir / "rate_histograms.csv",
@@ -350,3 +361,110 @@ def run_pipeline(config: Union[PipelineConfig, str, Path, dict],
     artifacts["throughput"] = out_dir / "throughput.json"
     return PipelineResult(out_dir, artifacts, mapping_cached,
                           record=record, throughput=throughput)
+
+
+# --- phase sweep --------------------------------------------------------------
+
+
+@dataclass
+class SweepConfig:
+    """The ``sweep`` section of a config document: the grid's axes."""
+    g: list[float] = field(default_factory=lambda: [2, 3, 4, 5, 6, 8])
+    eta: list[float] = field(default_factory=lambda: [0.5, 0.9, 1, 2, 4])
+
+
+@dataclass
+class SweepCell:
+    g: float
+    eta: float
+    mean_rate_exc: float
+    mean_rate_inh: float
+    cv: float
+    synchrony: float
+    regime: str
+    error: Optional[str] = None
+
+
+@dataclass
+class SweepGrid:
+    g_values: list[float]
+    eta_values: list[float]
+    cells: dict[tuple[float, float], SweepCell]
+    partial: bool = False
+
+    def to_csv(self) -> str:
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["g", "eta", "mean_rate_exc", "mean_rate_inh",
+                         "cv", "synchrony", "regime"])
+        for g in self.g_values:
+            for eta in self.eta_values:
+                c = self.cells.get((g, eta))
+                if c is None or c.error:
+                    writer.writerow([g, eta, "", "", "", "", "failed"])
+                else:
+                    writer.writerow([
+                        c.g, c.eta, f"{c.mean_rate_exc:.4f}",
+                        f"{c.mean_rate_inh:.4f}", f"{c.cv:.4f}",
+                        f"{c.synchrony:.4f}", c.regime,
+                    ])
+        return buf.getvalue()
+
+
+def _sweep_sections(config: PipelineConfig) -> Sections:
+    """``config.sections()``, refusing what a sweep cell cannot run:
+    another model than brunel, a topology (no cell is mapped) and
+    ``analysis.bins`` (no cell writes rate histograms)."""
+    name = config.model.get("name")
+    if name != "brunel":
+        raise WafersimError(f"sweep runs brunel, not {name!r}")
+    if config.topology is not None:
+        raise WafersimError("sweep refuses a topology: it maps no cell")
+    if "bins" in config.analysis:
+        raise WafersimError("sweep refuses analysis field 'bins': its cells "
+                            "write no rate histograms")
+    return config.sections()
+
+
+def run_sweep_cell(config: PipelineConfig, g: float, eta: float) -> SweepCell:
+    """The (g, eta) cell of ``config``: ``run_pipeline``'s build, adapt,
+    simulate and ``summarize`` with ``g`` and ``eta`` replaced, writing no
+    files.  A summary without a regime raises ``WafersimError``."""
+    sections = _sweep_sections(config)
+    spec = build_model(replace(sections.model, g=g, eta=eta), config.seed)
+    adapted, _ = adapt_pipeline(spec, sections.adaptation)
+    summary = summarize(simulate(adapted, sections.simulation),
+                        sections.analysis)
+    if "regime" not in summary:
+        raise WafersimError("no regime: the analysis window spans fewer than "
+                            "10 synchrony bins or under 2 neurons are recorded")
+    rates = summary["per_population_mean_rate_hz"]
+    return SweepCell(g, eta, rates.get("exc", 0.0), rates.get("inh", 0.0),
+                     summary["cv_isi_mean"], summary["synchrony"],
+                     summary["regime"])
+
+
+def _sweep_worker(args) -> tuple[tuple[float, float], SweepCell]:
+    config, g, eta = args
+    try:
+        return (g, eta), run_sweep_cell(config, g, eta)
+    except Exception as exc:  # per-cell failures mark the grid partial
+        return (g, eta), SweepCell(g, eta, 0, 0, float("nan"), float("nan"),
+                                   "failed", error=str(exc))
+
+
+def phase_sweep(config: PipelineConfig, g_values: list[float],
+                eta_values: list[float], parallel: int = 1) -> SweepGrid:
+    """Sweep the (g, eta) grid of ``config``'s Brunel network; ``config``
+    is checked before any cell starts, and cells are independent jobs."""
+    if not g_values or not eta_values:
+        raise WafersimError("g and eta lists must be nonempty")
+    _sweep_sections(config)
+    jobs = [(config, g, eta) for g in g_values for eta in eta_values]
+    if parallel > 1:
+        with ProcessPoolExecutor(max_workers=parallel) as pool:
+            results = dict(pool.map(_sweep_worker, jobs))
+    else:
+        results = dict(map(_sweep_worker, jobs))
+    partial = any(c.error for c in results.values())
+    return SweepGrid(list(g_values), list(eta_values), results, partial=partial)

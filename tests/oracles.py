@@ -199,7 +199,7 @@ def is_hardware_ready(spec) -> bool:
 def microcircuit_scale_for_total(target_total, data=None) -> float:
     """The microcircuit scale that gives about ``target_total`` neurons."""
     data = data or load_microcircuit_data()
-    return target_total / sum(data["sizes"])
+    return target_total / sum(data.sizes)
 
 
 def psp_peak_conductance_linear(weight, e_rev, v_hold, tau_m, tau_syn, c_m):

@@ -19,17 +19,11 @@ from oracles import (
     lif_constant_current_rate,
 )
 from wafersim.adaptation import (
-    AdaptationConfig,
     clamp_time_constants,
     convert_current_to_conductance,
     substitute_poisson_pool,
 )
-from wafersim.analysis import (
-    AnalysisConfig,
-    SweepBaseConfig,
-    mean_rates,
-    phase_sweep,
-)
+from wafersim.analysis import mean_rates
 from wafersim.bench import reference_table
 from wafersim.engine import (
     SimulationConfig,
@@ -44,7 +38,6 @@ from wafersim.hardware import (
     circuits_needed,
 )
 from wafersim.mapping import load_mapping, map_network
-from wafersim.models import BrunelParams
 from wafersim.network import (
     FixedProbability,
     NetworkSpec,
@@ -57,6 +50,8 @@ from wafersim.network import (
     ensure_sampled,
 )
 from wafersim.pipeline import (
+    PipelineConfig,
+    phase_sweep,
     run_pipeline,
     scaled_brunel_config,
     scaled_microcircuit_config,
@@ -84,16 +79,11 @@ def ai_run(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def sweep_grid():
-    base = SweepBaseConfig(
-        brunel=BrunelParams(),
-        adaptation=AdaptationConfig(
-            neuron_scale=2083 / 12400, indegree_scale=0.2673,
-            poisson_pool={"pool_size": 2083, "samples_per_target": 200}),
-        simulation=SimulationConfig(dt=0.1, duration=2000.0),
-        analysis=AnalysisConfig(window_start=500.0), seed=0)
+    config = scaled_brunel_config(duration=2000.0)
+    config.analysis = {"window_start": 500.0}
     start = time.monotonic()
-    grid = phase_sweep([2.0, 3.0, 4.0, 5.0, 6.0, 8.0],
-                       [0.5, 0.9, 1.0, 2.0, 4.0], base, parallel=4)
+    grid = phase_sweep(config, [2.0, 3.0, 4.0, 5.0, 6.0, 8.0],
+                       [0.5, 0.9, 1.0, 2.0, 4.0], parallel=4)
     return grid, time.monotonic() - start
 
 
@@ -358,12 +348,12 @@ def test_08_determinism(tmp_path):
                     and ra.deliveries == rb.deliveries)
     mapping_equal = (digest(a.artifacts["mapping"])
                      == digest(b.artifacts["mapping"]))
-    base = SweepBaseConfig(
-        brunel=BrunelParams(n_total=200), adaptation=AdaptationConfig(),
-        simulation=SimulationConfig(dt=0.1, duration=400.0),
-        analysis=AnalysisConfig(window_start=100.0), seed=3)
-    serial = phase_sweep([4.0, 6.0], [1.0, 2.0], base, parallel=1).to_csv()
-    parallel = phase_sweep([4.0, 6.0], [1.0, 2.0], base, parallel=4).to_csv()
+    base = PipelineConfig(
+        model={"name": "brunel", "params": {"n_total": 200}},
+        simulation={"dt": 0.1, "duration": 400.0},
+        analysis={"window_start": 100.0}, seed=3)
+    serial = phase_sweep(base, [4.0, 6.0], [1.0, 2.0], parallel=1).to_csv()
+    parallel = phase_sweep(base, [4.0, 6.0], [1.0, 2.0], parallel=4).to_csv()
     sweep_equal = hashlib.sha256(serial.encode()).hexdigest() == \
         hashlib.sha256(parallel.encode()).hexdigest()
     ok = spikes_equal and mapping_equal and sweep_equal

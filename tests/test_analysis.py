@@ -3,23 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wafersim.adaptation import AdaptationConfig
 from wafersim.analysis import (
-    AnalysisConfig,
     Regime,
     RegimeThresholds,
-    SweepBaseConfig,
     classify_regime,
     cv_isi,
     mean_rates,
-    phase_sweep,
     rate_distribution,
-    run_sweep_cell,
     synchrony,
 )
-from wafersim.engine import SimulationConfig, SpikeRecord, poisson_source
-from wafersim.models import BrunelParams
+from wafersim.engine import SpikeRecord, poisson_source
 from wafersim.network import WafersimError
+from wafersim.pipeline import PipelineConfig, phase_sweep, run_sweep_cell
 
 from oracles import cv_isi_per_neuron, synchrony_dense
 
@@ -233,11 +228,10 @@ class TestClassifyRegime:
 
 
 def sweep_base(duration=600.0, n=300):
-    return SweepBaseConfig(
-        brunel=BrunelParams(n_total=n),
-        adaptation=AdaptationConfig(),
-        simulation=SimulationConfig(dt=0.1, duration=duration),
-        analysis=AnalysisConfig(window_start=200.0),
+    return PipelineConfig(
+        model={"name": "brunel", "params": {"n_total": n}},
+        simulation={"dt": 0.1, "duration": duration},
+        analysis={"window_start": 200.0},
         seed=3,
     )
 
@@ -246,7 +240,7 @@ class TestSweep:
     def test_cell_equals_direct_run(self):
         base = sweep_base()
         direct = run_sweep_cell(base, 5.0, 2.0)
-        grid = phase_sweep([5.0], [2.0], base)
+        grid = phase_sweep(base, [5.0], [2.0])
         cell = grid.cells[(5.0, 2.0)]
         assert cell.mean_rate_exc == direct.mean_rate_exc
         assert cell.cv == direct.cv
@@ -254,8 +248,8 @@ class TestSweep:
 
     def test_parallel_matches_serial(self):
         base = sweep_base(duration=400.0, n=200)
-        serial = phase_sweep([4.0, 6.0], [2.0], base, parallel=1)
-        par = phase_sweep([4.0, 6.0], [2.0], base, parallel=2)
+        serial = phase_sweep(base, [4.0, 6.0], [2.0], parallel=1)
+        par = phase_sweep(base, [4.0, 6.0], [2.0], parallel=2)
         for key in serial.cells:
             assert serial.cells[key].mean_rate_exc == \
                 par.cells[key].mean_rate_exc
@@ -263,17 +257,17 @@ class TestSweep:
 
     def test_csv_format(self):
         base = sweep_base(duration=400.0, n=200)
-        grid = phase_sweep([4.0], [1.0, 2.0], base)
+        grid = phase_sweep(base, [4.0], [1.0, 2.0])
         lines = grid.to_csv().strip().splitlines()
         assert lines[0] == "g,eta,mean_rate_exc,mean_rate_inh,cv,synchrony,regime"
         assert len(lines) == 3
 
     def test_failed_cell_marks_partial(self):
         base = sweep_base(duration=210.0)  # window too short for synchrony
-        grid = phase_sweep([4.0], [2.0], base)
+        grid = phase_sweep(base, [4.0], [2.0])
         assert grid.partial
         assert "failed" in grid.to_csv()
 
     def test_empty_axes_error(self):
         with pytest.raises(WafersimError):
-            phase_sweep([], [1.0], sweep_base())
+            phase_sweep(sweep_base(), [], [1.0])

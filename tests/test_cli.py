@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from wafersim.cli import (
     main,
 )
 from wafersim.engine import load_spikes_binary
+from wafersim.models import load_microcircuit_data
 from wafersim.pipeline import run_pipeline
 
 
@@ -25,6 +27,10 @@ def write_config(tmp_path, doc, name="config.json"):
 SMALL_SWEEP = {"model": {"params": {"n_total": 200}},
                "simulation": {"duration": 100.0},
                "sweep": {"g": [4], "eta": [2]}}
+
+
+# the bundled microcircuit table as a config document holds it
+TABLE = asdict(load_microcircuit_data())
 
 
 def small_model_config(tmp_path, **extra):
@@ -133,7 +139,7 @@ class TestStageCommands:
                                "simulation": {"duration": 100},
                                "sweep": {"g": [4], "eta": [2]},
                                "analysis": {key: 50}}, key, id=f"sweep-{key}")
-        for key in ("window_strat", "window_end", "bins")
+        for key in ("window_strat", "bins")
     ] + [pytest.param(*case, id=f"{case[0].split()[0]}-{case[2]}-{name}")
          for name, case in (
         ("type", ("build", {"model": {"name": "brunel", "params": {"g": "5"}}},
@@ -153,6 +159,14 @@ class TestStageCommands:
                   "membrane_probes")),
         ("type", ("wafer report", {"topology": {"rows": "4"}}, "rows")),
         ("unknown", ("wafer report", {"topology": {"rowz": 4}}, "rowz")),
+        ("type", ("wafer report", {"topology": {
+            "rows": 1, "cols": 1, "available": [["no"]]}}, "topology.available")),
+        ("type", ("build", {"model": {"name": "microcircuit", "params": {
+            "data": {**TABLE, "sizes": [str(s) for s in TABLE["sizes"]]}}}},
+            "model.params.data.sizes")),
+        ("missing", ("build", {"model": {"name": "microcircuit", "params": {
+            "data": {k: v for k, v in TABLE.items() if k != "neuron"}}}},
+            "neuron")),
         ("float", ("analyze", {"analysis": {"bins": 3.7}}, "bins")),
         ("bool", ("analyze", {"analysis": {"window_start": True}},
                   "window_start")),
@@ -208,8 +222,8 @@ class TestStageCommands:
         class Captured(Exception):
             pass
 
-        def capture(g_values, eta_values, base, parallel=1):
-            raise Captured(base)
+        def capture(config, g_values, eta_values, parallel=1):
+            raise Captured(config)
 
         monkeypatch.setattr(cli, "phase_sweep", capture)
         cfg = write_config(tmp_path, {"analysis": {
@@ -217,9 +231,9 @@ class TestStageCommands:
         with pytest.raises(Captured) as caught:
             main(["sweep", "--g", "4", "--eta", "2", "--out-dir",
                   str(tmp_path), "--config", cfg])
-        base = caught.value.args[0]
-        assert (base.analysis.window_start,
-                base.analysis.synchrony_bin_ms) == (120.0, 4.0)
+        analysis = caught.value.args[0].sections().analysis
+        assert (analysis.window_start,
+                analysis.synchrony_bin_ms) == (120.0, 4.0)
 
     # a full pipeline config without the section a command reads: that
     # section's defaults, not the whole document taken as the section

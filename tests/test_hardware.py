@@ -44,6 +44,20 @@ class TestDefaults:
         again = WaferTopology.from_dict(topo.to_dict())
         assert again.content_hash() == topo.content_hash()
 
+    def test_available_takes_booleans_or_0_1(self):
+        mask = [[True, False], [True, True]]
+        topo = WaferTopology.from_dict({"rows": 2, "cols": 2,
+                                        "available": mask})
+        assert topo.n_asics == 3
+        again = WaferTopology.from_dict(topo.to_dict())  # written as 0/1
+        assert again.content_hash() == topo.content_hash() == WaferTopology(
+            rows=2, cols=2, available=np.array(mask)).content_hash()
+        for bad in ([["no", 1], [1, 1]], [[2, 1], [1, 1]],
+                    [[1.0, 1], [1, 1]], [1, 1], "all"):
+            with pytest.raises(WafersimError, match="topology.available"):
+                WaferTopology.from_dict({"rows": 2, "cols": 2,
+                                         "available": bad})
+
     def test_unknown_field_rejected(self):
         with pytest.raises(WafersimError, match="offchip_readout_limit"):
             WaferTopology.from_dict({"offchip_readout_limit": 30})

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -98,9 +100,9 @@ class TestBrunel:
 class TestMicrocircuit:
     def test_full_scale_sizes(self):
         data = load_microcircuit_data()
-        assert data["populations"] == [
+        assert data.populations == [
             "L23E", "L23I", "L4E", "L4I", "L5E", "L5I", "L6E", "L6I"]
-        assert sum(data["sizes"]) == 77_169
+        assert sum(data.sizes) == 77_169
         spec = build_microcircuit(MicrocircuitParams())
         assert spec.n_neurons() == 77_169
 
@@ -111,19 +113,29 @@ class TestMicrocircuit:
 
     def test_zero_probability_map_gives_no_projections(self):
         data = load_microcircuit_data()
-        data = dict(data, connection_probabilities=[[0.0] * 8 for _ in range(8)])
+        data = replace(data, connection_probabilities=[[0.0] * 8
+                                                       for _ in range(8)])
         spec = build_microcircuit(MicrocircuitParams(data=data))
         assert not spec.projections
         assert len(spec.stimuli) == 8
+
+    @pytest.mark.parametrize("field", ["signs", "sizes",
+                                       "connection_probabilities",
+                                       "external_in_degrees"])
+    def test_table_lists_run_over_populations(self, field):
+        data = load_microcircuit_data()
+        short = replace(data, **{field: getattr(data, field)[:7]})
+        with pytest.raises(ValueError, match=field):
+            MicrocircuitParams(data=short).check()
 
     def test_projection_expected_counts_match_map(self):
         spec = ensure_sampled(build_microcircuit(
             MicrocircuitParams(scale=0.05), seed=3))
         data = load_microcircuit_data()
-        names = data["populations"]
+        names = data.populations
         sizes = {p.pid: p.size for p in spec.populations}
         for pr in spec.projections:
-            p = data["connection_probabilities"][names.index(pr.target)][
+            p = data.connection_probabilities[names.index(pr.target)][
                 names.index(pr.source)]
             pairs = sizes[pr.source] * sizes[pr.target]
             if pr.source == pr.target:

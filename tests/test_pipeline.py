@@ -1,14 +1,18 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from wafersim.engine import load_spikes_binary
+from wafersim.network import WafersimError
 from wafersim.pipeline import (
     PipelineConfig,
     StageFailure,
     ValidationFailure,
+    phase_sweep,
     run_pipeline,
+    run_sweep_cell,
 )
 
 
@@ -118,3 +122,54 @@ class TestFailureModes:
         result = run_pipeline(small_config(topology=None), tmp_path)
         assert "mapping" not in result.artifacts
         assert result.record.spike_count() > 0
+
+
+class TestAnalysisSummary:
+    @pytest.mark.parametrize("duration,summarized", [(130.0, False),
+                                                     (150.0, True)])
+    def test_synchrony_bins_guard_the_summary(self, tmp_path, duration,
+                                              summarized):
+        # from 100 ms, 5 ms bins: 6 bins to 130 ms, 10 to 150 ms; synchrony
+        # needs 10, so the shorter window has no CV, synchrony or regime
+        cfg = small_config(topology=None,
+                           simulation={"dt": 0.1, "duration": duration},
+                           analysis={"window_start": 100,
+                                     "synchrony_bin_ms": 5})
+        run_pipeline(cfg, tmp_path)
+        summary = json.loads((tmp_path / "analysis.json").read_text())
+        assert summary["window"] == [100.0, duration]
+        assert set(summary["per_population_mean_rate_hz"]) == {"exc", "inh"}
+        keys = {"cv_isi_mean", "synchrony", "regime"}
+        assert (keys & summary.keys()) == (keys if summarized else set())
+
+
+class TestSweep:
+    # a sweep cell is the pipeline run of its g and eta, without mapping
+    @pytest.mark.parametrize("analysis", [
+        pytest.param({"window_start": 100.0}, id="window_start"),
+        pytest.param({"window_start": 100.0, "window_end": 300.0},
+                     id="window_end"),
+    ])
+    def test_sweep_cell_equals_pipeline_run(self, tmp_path, analysis):
+        config = small_config(topology=None, analysis=analysis)
+        cell = run_sweep_cell(config, 5.0, 3.0)
+        run_pipeline(replace(config, model={"name": "brunel", "params": {
+            "n_total": 300, "g": 5.0, "eta": 3.0}}), tmp_path)
+        summary = json.loads((tmp_path / "analysis.json").read_text())
+        rates = summary["per_population_mean_rate_hz"]
+        assert (cell.mean_rate_exc, cell.mean_rate_inh, cell.cv,
+                cell.synchrony, cell.regime) == (
+            rates["exc"], rates["inh"], summary["cv_isi_mean"],
+            summary["synchrony"], summary["regime"])
+        assert summary["window"][1] == analysis.get("window_end", 400.0)
+
+    @pytest.mark.parametrize("overrides,key", [
+        ({"topology": {}}, "topology"),
+        ({"model": {"name": "microcircuit"}}, "microcircuit"),
+        ({"analysis": {"bins": 5}}, "bins"),
+        ({"analysis": {"window_strat": 5}}, "window_strat"),
+    ])
+    def test_sweep_refuses_before_any_cell(self, overrides, key):
+        config = small_config(**{"topology": None, **overrides})
+        with pytest.raises(WafersimError, match=key):
+            phase_sweep(config, [5.0], [3.0])
