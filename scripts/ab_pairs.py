@@ -3,11 +3,15 @@
 
     python3 scripts/ab_pairs.py REF --workload analyze_10s --seeds 11-20
 
-Exports REF with ``git archive`` into a temporary directory and runs the
-unchanged ``perfbench/run.py --trace 0`` of each tree from that tree's root,
-once per seed on each side, for the ``run_seconds`` that ``BENCHMARK.json``
-fixes.  The side that runs first alternates from pair to pair.  "change" is
-this checkout's working tree, uncommitted edits included; "ref" is REF.
+Exports both sides with ``git archive`` into sibling directories of one
+temporary directory: "ref" is REF, "change" this checkout's tracked files
+with their uncommitted edits (a ``git stash create`` commit, or HEAD when
+nothing is edited).  So the two trees differ only in their code: neither
+holds a ``__pycache__`` or a ``.perfbench_work`` from earlier runs, and both
+sit at the same path depth.  Runs the unchanged ``perfbench/run.py --trace
+0`` of each tree from that tree's root, once per seed on each side, for the
+``run_seconds`` that ``BENCHMARK.json`` fixes.  The side that runs first
+alternates from pair to pair.
 Prints each run's end-to-end metrics as it ends, and after each pair
 whether the two runs' ``fingerprint <key> = <value>`` lines agree
 ("fingerprints identical", or the keys that differ).  At the end it prints
@@ -60,6 +64,14 @@ def export(ref: str, dest: Path) -> None:
                    check=True)
     if archive.wait():
         sys.exit(f"ab_pairs: git archive {ref} failed")
+
+
+def worktree_ref() -> str:
+    """A commit of this checkout's tracked files as they stand, uncommitted
+    edits included; the working tree and the index stay as they are."""
+    stash = subprocess.run(["git", "-C", str(ROOT), "stash", "create"],
+                           capture_output=True, text=True, check=True)
+    return stash.stdout.strip() or "HEAD"
 
 
 def run(tree: Path, workload: str, seed: int,
@@ -127,8 +139,10 @@ def main(argv=None) -> int:
     failed = {"ref": 0, "change": 0}
     identical = 0
     with tempfile.TemporaryDirectory(prefix="ab_pairs_") as tmp:
-        trees = {"ref": Path(tmp), "change": ROOT}
-        export(args.ref, trees["ref"])
+        trees = {side: Path(tmp) / side for side in ("ref", "change")}
+        for side, ref in (("ref", args.ref), ("change", worktree_ref())):
+            trees[side].mkdir()
+            export(ref, trees[side])
         for i, seed in enumerate(args.seeds):
             order = ("ref", "change") if i % 2 == 0 else ("change", "ref")
             prints = {}

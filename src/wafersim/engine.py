@@ -11,8 +11,13 @@ so the engine advances a block of up to that many steps (at most
    for the block, spread uniformly over its (step, source) cells, and its
    edges are scattered into the input buffer;
 2. the synaptic traces and the subthreshold membrane trajectory follow from
-   prefix scans over the block, because the update of each step is affine in
-   the previous state;
+   scans over the block, because the update of each step is affine in the
+   previous state; the traces carried from the last block are the initial
+   value of theirs.  On a block of at least ``SCAN_WIDTH`` columns a scan is
+   the step-by-step recurrence y_k = a_k*y_(k-1) + x_k: L-1 row updates,
+   where a Hillis-Steele scan does about L*log2(L).  A narrower block keeps
+   the Hillis-Steele scan, whose log2(L) numpy calls cost less than the
+   recurrence's 2(L-1) when each call does little work;
 3. each neuron's first threshold crossing is found, the reset and refractory
    clamp are applied, and the neuron restarts from the end of its clamp until
    no neuron crosses;
@@ -85,6 +90,11 @@ MAX_PROBES = 8
 # row gather moves 256 bytes of offsets and the tail of a source's last row
 # is all the padding it adds.
 CHUNK = 32
+# Fewest columns for which a block scan runs as the step-by-step recurrence.
+# Below it a row update costs little more than its numpy calls, and the
+# Hillis-Steele scan's log2(L) calls win; on a 2-core x86 host the two
+# paths cost the same at about 256 columns for blocks of 8, 15 and 64 steps.
+SCAN_WIDTH = 256
 
 
 @dataclass
@@ -301,8 +311,7 @@ class _Engine:
                 deliveries += _scatter(buf, r0 + k, j, table, 2 * n)
             traces = window[r0:r0 + L].copy()
             window[r0:r0 + L] = 0.0
-            _scan_powers(traces, self.syn_pow)
-            traces += self.syn_pow[:L] * syn
+            _scan_powers(traces, self.syn_pow, syn)
             syn = traces[-1]
             V, steps, ids, ref = self._integrate(v, ref, traces)
             v = V[-1]
@@ -526,18 +535,41 @@ def _powers(base: np.ndarray, k: int) -> np.ndarray:
     return np.cumprod(np.broadcast_to(base, (k, len(base))), axis=0)
 
 
-def _scan_powers(x: np.ndarray, powers: np.ndarray) -> None:
-    """In place, x[k] <- sum_j<=k a^(k-j) x[j] for a per-column factor a with
-    powers[j] = a^(j+1): the recurrence y_k = a*y_(k-1) + x_k from y = 0."""
+def _scan_powers(x: np.ndarray, powers: np.ndarray,
+                 y0: Optional[np.ndarray] = None) -> None:
+    """In place, x[k] <- y_k of the recurrence y_k = a*y_(k-1) + x[k] from
+    y_(-1) = y0 (0 if None), for a per-column factor a with powers[j] =
+    a^(j+1).  At ``SCAN_WIDTH`` columns or more, each y_k is computed as
+    the recurrence writes it; narrower, x[k] <- sum_j<=k a^(k-j) x[j] by a
+    Hillis-Steele scan, and then x[k] += a^(k+1)*y0."""
+    if x.shape[1] >= SCAN_WIDTH:
+        a = powers[0]
+        if y0 is not None:
+            x[0] += a * y0
+        tmp = np.empty_like(a)
+        for k in range(1, len(x)):
+            np.multiply(x[k - 1], a, out=tmp)
+            x[k] += tmp
+        return
     shift = 1
     while shift < len(x):
         x[shift:] += powers[shift - 1] * x[:-shift]
         shift *= 2
+    if y0 is not None:
+        x += powers[:len(x)] * y0
 
 
 def _scan(a: np.ndarray, x: np.ndarray) -> None:
     """In place, a[k] <- a[0]*...*a[k] and x[k] <- y_k of the recurrence
-    y_k = a[k]*y_(k-1) + x[k] from y = 0 (Hillis-Steele scan)."""
+    y_k = a[k]*y_(k-1) + x[k] from y = 0: step by step at ``SCAN_WIDTH``
+    columns or more, by a Hillis-Steele scan below."""
+    if x.shape[1] >= SCAN_WIDTH:
+        tmp = np.empty_like(x[0])
+        for k in range(1, len(x)):
+            np.multiply(x[k - 1], a[k], out=tmp)
+            x[k] += tmp
+            a[k] *= a[k - 1]
+        return
     shift = 1
     while shift < len(x):
         x[shift:] += a[shift:] * x[:-shift]

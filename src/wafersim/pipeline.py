@@ -456,11 +456,17 @@ def _sweep_worker(args) -> tuple[tuple[float, float], SweepCell]:
 def phase_sweep(config: PipelineConfig, g_values: list[float],
                 eta_values: list[float], parallel: int = 1) -> SweepGrid:
     """Sweep the (g, eta) grid of ``config``'s Brunel network; ``config``
-    is checked before any cell starts, and cells are independent jobs."""
+    and each cell's params are checked before any cell starts, and cells
+    are independent jobs."""
     if not g_values or not eta_values:
         raise WafersimError("g and eta lists must be nonempty")
-    _sweep_sections(config)
+    model = _sweep_sections(config).model
     jobs = [(config, g, eta) for g in g_values for eta in eta_values]
+    for _, g, eta in jobs:
+        try:
+            replace(model, g=g, eta=eta).check()
+        except ValueError as exc:
+            raise WafersimError(f"sweep cell g={g}, eta={eta}: {exc}") from None
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             results = dict(pool.map(_sweep_worker, jobs))

@@ -180,6 +180,10 @@ class TestStageCommands:
             "microcircuit")),
         ("type", ("sweep", {**SMALL_SWEEP, "simulation": {"duration": "300"}},
                   "duration")),
+        # a cell's params are checked before the first cell runs
+        ("cell", ("sweep", {**SMALL_SWEEP, "sweep": {"g": [-1, 4],
+                                                     "eta": [2, -1]}},
+                  "g=-1.0, eta=2.0")),
         ("unknown", ("bench", {"model": {"name": "brunel"},
                                "adaptation": {"neuron_scal": 0.5}},
                      "neuron_scal")),

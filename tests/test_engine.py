@@ -16,6 +16,7 @@ from wafersim.adaptation import (
 )
 from wafersim.engine import (
     BLOCK_CAP,
+    SCAN_WIDTH,
     SimulationConfig,
     SimulationDiagnosticError,
     SpikeRecord,
@@ -353,6 +354,58 @@ class TestEdgeTable:
         assert not np.any((buf == 0) & np.signbit(buf))
         degree = max(map(src.count, set(src)), default=0)
         assert table["F"].shape[1] == max(1, min(engine.CHUNK, degree))
+
+
+def recurrence(a, x, y0):
+    """Rows y_k = a[k]*y_(k-1) + x[k] from y_(-1) = y0, one step at a
+    time, and the running products a[0]*...*a[k]."""
+    y, p, ys, ps = y0, np.ones(x.shape[1]), [], []
+    for a_k, x_k in zip(a, x):
+        y = a_k * y + x_k
+        p = p * a_k
+        ys.append(y)
+        ps.append(p)
+    return np.array(ys), np.array(ps)
+
+
+class TestScans:
+    """The block scans against the step-by-step recurrence: bit for bit at
+    ``SCAN_WIDTH`` columns or more, where the scan is that recurrence, and
+    to rounding below it, where it is a Hillis-Steele scan."""
+
+    @pytest.mark.parametrize("width", [SCAN_WIDTH - 1, SCAN_WIDTH])
+    @pytest.mark.parametrize("L", [1, 8, 15, BLOCK_CAP])
+    @pytest.mark.parametrize("state", [False, True], ids=["zero", "state"])
+    def test_scan_powers(self, width, L, state):
+        rng = np.random.default_rng([width, L, state])
+        a = rng.uniform(0.8, 1.0, width)
+        x = rng.uniform(0.0, 1.0, (L, width))
+        y0 = rng.uniform(0.0, 1.0, width) if state else None
+        expected, _ = recurrence(np.broadcast_to(a, x.shape), x,
+                                 np.zeros(width) if y0 is None else y0)
+        engine._scan_powers(x, engine._powers(a, L), y0)
+        self.check(x, expected, width, L)
+
+    @pytest.mark.parametrize("width", [SCAN_WIDTH - 1, SCAN_WIDTH])
+    @pytest.mark.parametrize("L", [1, 8, 15, BLOCK_CAP])
+    def test_scan(self, width, L):
+        rng = np.random.default_rng([width, L])
+        a = rng.uniform(0.8, 1.0, (L, width))
+        x = rng.uniform(-1.0, 1.0, (L, width))
+        expected, products = recurrence(a, x, np.zeros(width))
+        engine._scan(a, x)
+        self.check(x, expected, width, L)
+        self.check(a, products, width, L)
+
+    @staticmethod
+    def check(got, expected, width, L):
+        if width >= SCAN_WIDTH:
+            assert np.array_equal(got, expected)
+        else:
+            np.testing.assert_allclose(got, expected, rtol=1e-12,
+                                       atol=1e-12 * np.abs(expected).max())
+            # the narrow path keeps the Hillis-Steele scan's own rounding
+            assert L < 8 or not np.array_equal(got, expected)
 
 
 class TestPoissonEvents:

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from wafersim import pipeline
 from wafersim.engine import load_spikes_binary
 from wafersim.network import WafersimError
 from wafersim.pipeline import (
@@ -173,3 +174,13 @@ class TestSweep:
         config = small_config(**{"topology": None, **overrides})
         with pytest.raises(WafersimError, match=key):
             phase_sweep(config, [5.0], [3.0])
+
+    @pytest.mark.parametrize("g,eta", [([4.0, -1.0], [3.0]),
+                                       ([4.0], [3.0, 2.0, -0.5])])
+    def test_sweep_checks_every_cell_first(self, monkeypatch, g, eta):
+        ran = []
+        monkeypatch.setattr(pipeline, "run_sweep_cell",
+                            lambda *cell: ran.append(cell))
+        with pytest.raises(WafersimError, match="g and eta must be >= 0"):
+            phase_sweep(small_config(topology=None), g, eta)
+        assert ran == []
