@@ -115,20 +115,38 @@ class CvIsiResult:
         return float(np.mean(vals)) if vals else float("nan")
 
 
+def _by_neuron(times: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The permutation ``np.lexsort((times, ids))``: by id, then by time,
+    ties in record order.  A stable sort by time, then stable LSD radix
+    passes over the 16-bit digits of the ids (none when every id is 0, one
+    below 65,536, two above), each a stable ``argsort`` of ``uint16``
+    digits, which numpy runs as a radix sort."""
+    order = np.argsort(times, kind="stable")
+    for shift in range(0, int(ids.max(initial=0)).bit_length(), 16):
+        digit = (ids[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+    return order
+
+
 def cv_isi(record: SpikeRecord, window: Optional[tuple[float, float]] = None
            ) -> CvIsiResult:
     """Coefficient of variation of inter-spike intervals per neuron; neurons
-    with fewer than 3 spikes are excluded and counted.
+    with fewer than 3 spikes are excluded and counted.  ``window=None``
+    means the whole record; a given window is checked as ``mean_rates``
+    checks it.
 
-    One sort by (id, time) and per-neuron sums with ``bincount``: the cost
-    follows the spikes in the window, whatever order the record is in.
+    The spikes in the window are grouped by neuron with ``_by_neuron``,
+    whatever order the record is in, and summed per neuron with
+    ``bincount``: the cost follows the spikes in the window.
     """
     if window is None:
         window = (0.0, record.duration)
+    else:
+        _window_check(record, window)
     lo, hi = window
     in_win = (record.times >= lo) & (record.times < hi)
     times, ids = record.times[in_win], record.ids[in_win]
-    order = np.lexsort((times, ids))
+    order = _by_neuron(times, ids)
     times, ids = times[order], ids[order]
     n_spikes = np.bincount(ids, minlength=record.n_neurons)
     n_isi = np.maximum(n_spikes - 1, 1)

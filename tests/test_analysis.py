@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wafersim.analysis import (
     Regime,
     RegimeThresholds,
+    _by_neuron,
     classify_regime,
     cv_isi,
     mean_rates,
@@ -95,6 +96,19 @@ class TestCvIsi:
         result = cv_isi(record)
         assert set(result.per_neuron) == {2}
         assert result.excluded == 3  # two sparse spikers + one silent
+
+    @pytest.mark.parametrize("window", [(5.0, 2.0), (0.0, 50.0)])
+    def test_bad_window_errors(self, window):
+        record = make_record([1.0, 2.0, 3.0, 4.0], [0, 0, 0, 0], 1, 10.0)
+        with pytest.raises(WafersimError):
+            cv_isi(record, window)
+        with pytest.raises(WafersimError):
+            mean_rates(record, window)
+
+    def test_no_window_is_whole_record(self):
+        record = make_record([1.0, 2.0, 4.0, 9.5], [0, 0, 0, 0], 1, 10.0)
+        whole = cv_isi(record, (0.0, 10.0))
+        assert cv_isi(record).per_neuron == whole.per_neuron
 
 
 class TestSynchrony:
@@ -198,6 +212,48 @@ class TestSparseAgainstDenseOracles:
         assert result.per_neuron[3] == 0.0
         assert result.excluded == 3  # neurons 0, 1 and 5
         check_cv_against_oracle(record, window)
+
+
+@st.composite
+def unsorted_spikes(draw):
+    """(times, ids) in no order: times from a coarse grid (duplicates) or any
+    float, ids from a small pool below 2**20, so that (time, id) pairs
+    repeat and the pool often needs a second 16-bit digit."""
+    pool = draw(st.lists(st.integers(0, 2**20 - 1), min_size=1, max_size=4))
+    spikes = draw(st.lists(st.tuples(
+        st.one_of(st.integers(0, 4).map(float), st.floats()),
+        st.sampled_from(pool)), max_size=60))
+    return (np.array([t for t, _ in spikes], np.float64),
+            np.array([i for _, i in spikes], np.uint32))
+
+
+class TestByNeuron:
+    """cv_isi's grouping permutation against the lexsort it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(unsorted_spikes())
+    @example((np.zeros(0), np.zeros(0, np.uint32)))
+    # equal low digits: only the second pass tells 65536 from 0
+    @example((np.array([0.0, 1.0, 1.0, 0.0]),
+              np.array([65536, 0, 65536, 65536], np.uint32)))
+    @example((np.array([3.0, 3.0, 1.0, 3.0]),
+              np.array([2**32 - 1, 7, 2**32 - 1, 2**32 - 1], np.uint32)))
+    def test_equals_lexsort(self, spikes):
+        times, ids = spikes
+        assert np.array_equal(_by_neuron(times, ids), np.lexsort((times, ids)))
+
+    def test_cv_isi_past_one_digit(self):
+        # 70,000 neurons: ids above 65,535 take the second radix pass
+        rng = np.random.default_rng(4)
+        ids = rng.choice([0, 1, 65_535, 65_536, 65_537, 69_999], 400)
+        times = rng.integers(0, 4000, 400) * 0.025
+        record = SpikeRecord(
+            times=times, ids=ids.astype(np.uint32), n_neurons=70_000,
+            duration=DURATION, dt=0.025, deliveries=0, wall_time=0.0,
+            population_slices={"all": (0, 70_000)})
+        assert len(cv_isi(record).per_neuron) == 6
+        check_cv_against_oracle(record, (0.0, DURATION))
+        check_cv_against_oracle(record, (20.0, 70.0))
 
 
 class TestClassifyRegime:

@@ -861,6 +861,46 @@ class TestCsvFormatter:
         assert new == old == b"time_ms,\n0.100000,\n0.200000,\n"
 
 
+class TestCsvWidestRow:
+    """The widest row the membrane writer takes: ``MAX_PROBES`` probes, byte
+    for byte against the ``%`` writer.  Most values take the fast path,
+    ten-digit integer parts below its 2**52 / 1e6 bound among them; a few
+    cells hold NaN, an infinity, a decimal tie or a value at or above the
+    bound, which send their row to ``%``."""
+
+    bound = 2.0**52 / 1e6
+    fast = st.one_of(
+        st.floats(-bound, bound, exclude_min=True, exclude_max=True),
+        st.floats(1e9, bound, exclude_max=True),
+        st.floats(-bound, -1e9, exclude_min=True))
+    special = st.one_of(
+        st.sampled_from([np.nan, np.inf, -np.inf]), ties,
+        ties.map(lambda v: -v), st.floats(bound, 1e300),
+        st.floats(-1e300, -bound))
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_max_probes(self, tmp_path_factory, chunk, data):
+        n = data.draw(st.integers(1, 25))
+        width = 1 + engine.MAX_PROBES
+        columns = [data.draw(st.lists(self.fast, min_size=n, max_size=n))
+                   for _ in range(width)]
+        for row, col, value in data.draw(st.lists(st.tuples(
+                st.integers(0, n - 1), st.integers(0, width - 1),
+                self.special), max_size=3)):
+            columns[col][row] = value
+        pids = data.draw(st.lists(st.integers(0, 10**6), unique=True,
+                                  min_size=engine.MAX_PROBES,
+                                  max_size=engine.MAX_PROBES))
+        record = csv_record(probe_times=columns[0],
+                            probes=dict(zip(pids, columns[1:])))
+        new, old, _ = write_both(record, tmp_path_factory.mktemp("w"), chunk,
+                                 membrane=True)
+        assert new == old
+        assert new.count(b",") == (n + 1) * engine.MAX_PROBES
+
+
 class TestSpeedup:
     def test_arithmetic(self):
         assert biological_speedup(10_000.0, 1.0) == pytest.approx(10.0)
