@@ -2,6 +2,7 @@
 """A/B the benchmark: this checkout against a git ref, in alternating pairs.
 
     python3 scripts/ab_pairs.py REF --workload analyze_10s --seeds 11-20
+    python3 scripts/ab_pairs.py REF --workload brunel_ai,microcircuit --seeds 11-20
 
 Exports both sides with ``git archive`` into sibling directories of one
 temporary directory: "ref" is REF, "change" this checkout's tracked files
@@ -10,13 +11,15 @@ nothing is edited).  So the two trees differ only in their code: neither
 holds a ``__pycache__`` or a ``.perfbench_work`` from earlier runs, and both
 sit at the same path depth.  Runs the unchanged ``perfbench/run.py --trace
 0`` of each tree from that tree's root, once per seed on each side, for the
-``run_seconds`` that ``BENCHMARK.json`` fixes.  The side that runs first
-alternates from pair to pair.
-Prints each run's end-to-end metrics as it ends, and after each pair
-whether the two runs' ``fingerprint <key> = <value>`` lines agree
-("fingerprints identical", or the keys that differ).  At the end it prints
-how many pairs had identical fingerprints, then per metric both sides'
-median and quartiles, the pairs the change won, and two verdicts:
+``run_seconds`` that ``BENCHMARK.json`` fixes.  ``--workload`` takes one
+workload or a comma-separated list; each pair runs every listed workload in
+turn.  The side that runs first alternates from pair to pair.
+Prints each run's end-to-end metrics as it ends, and after each pair of
+runs whether their ``fingerprint <key> = <value>`` lines agree
+("fingerprints identical", or the keys that differ).  At the end it prints,
+per workload, how many pairs had identical fingerprints, then per metric
+both sides' median and quartiles, the pairs the change won, and two
+verdicts:
 
 - claim: whether a claimed gain holds.  Over at least 10 pairs, the change
   wins at least 9 in 10 and its median beats REF's by more than REF's
@@ -127,7 +130,8 @@ def summary(name: str, better: str, bound: float, ref: list[float],
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("ref", help="git ref to compare against, e.g. HEAD~1")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True, type=lambda s: s.split(","),
+                    help="a workload, or a comma-separated list of them")
     ap.add_argument("--seeds", type=parse_seeds, required=True,
                     help="'11-20' or '1,3,5'")
     args = ap.parse_args(argv)
@@ -135,9 +139,10 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     bound = {m["name"]: m["bound"] for m in bench["end_to_end"]}
-    values = {side: {name: [] for name in better} for side in ("ref", "change")}
-    failed = {"ref": 0, "change": 0}
-    identical = 0
+    values = {w: {side: {name: [] for name in better}
+                  for side in ("ref", "change")} for w in args.workload}
+    failed = {w: {"ref": 0, "change": 0} for w in args.workload}
+    identical = dict.fromkeys(args.workload, 0)
     with tempfile.TemporaryDirectory(prefix="ab_pairs_") as tmp:
         trees = {side: Path(tmp) / side for side in ("ref", "change")}
         for side, ref in (("ref", args.ref), ("change", worktree_ref())):
@@ -145,31 +150,36 @@ def main(argv=None) -> int:
             export(ref, trees[side])
         for i, seed in enumerate(args.seeds):
             order = ("ref", "change") if i % 2 == 0 else ("change", "ref")
-            prints = {}
-            for side in order:
-                result, prints[side] = run(trees[side], args.workload, seed,
-                                           bench["run_seconds"])
-                failed[side] += result["failed"]
-                metrics = {k: m["value"] for k, m in result["metrics"].items()}
-                for name in better:
-                    values[side][name].append(metrics[name])
-                print(f"pair {i} seed {seed} {side:<6} "
-                      f"correct={result['correct']} " + " ".join(
-                          f"{k}={v:.6g}" for k, v in metrics.items()),
-                      flush=True)
-            differ = sorted(k for k in prints["ref"].keys() | prints["change"]
-                            if prints["ref"].get(k) != prints["change"].get(k))
-            identical += not differ
-            print(f"pair {i} seed {seed} fingerprints " + (
-                f"differ: {', '.join(differ)}" if differ else "identical"),
-                flush=True)
-    print(f"\n{args.workload}, {len(args.seeds)} pairs against {args.ref}; "
-          f"failed repetitions: ref {failed['ref']}, "
-          f"change {failed['change']}; fingerprints identical in "
-          f"{identical} of {len(args.seeds)} pairs")
-    for name, direction in better.items():
-        print(summary(name, direction, bound[name], values["ref"][name],
-                      values["change"][name], failed))
+            for workload in args.workload:
+                prints = {}
+                for side in order:
+                    result, prints[side] = run(trees[side], workload, seed,
+                                               bench["run_seconds"])
+                    failed[workload][side] += result["failed"]
+                    metrics = {k: m["value"]
+                               for k, m in result["metrics"].items()}
+                    for name in better:
+                        values[workload][side][name].append(metrics[name])
+                    print(f"pair {i} seed {seed} {workload} {side:<6} "
+                          f"correct={result['correct']} " + " ".join(
+                              f"{k}={v:.6g}" for k, v in metrics.items()),
+                          flush=True)
+                differ = sorted(
+                    k for k in prints["ref"].keys() | prints["change"]
+                    if prints["ref"].get(k) != prints["change"].get(k))
+                identical[workload] += not differ
+                print(f"pair {i} seed {seed} {workload} fingerprints " + (
+                    f"differ: {', '.join(differ)}" if differ else "identical"),
+                    flush=True)
+    for workload in args.workload:
+        print(f"\n{workload}, {len(args.seeds)} pairs against {args.ref}; "
+              f"failed repetitions: ref {failed[workload]['ref']}, "
+              f"change {failed[workload]['change']}; fingerprints identical "
+              f"in {identical[workload]} of {len(args.seeds)} pairs")
+        for name, direction in better.items():
+            print(summary(name, direction, bound[name],
+                          values[workload]["ref"][name],
+                          values[workload]["change"][name], failed[workload]))
     return 0
 
 

@@ -15,7 +15,6 @@ delivers by.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import asdict, dataclass, field, fields, replace as dc_replace
 from typing import Optional
 
@@ -32,6 +31,7 @@ from .network import (
     StimulusSpec,
     SynapseKind,
     WafersimError,
+    copy_spec,
     distinct_sources,
     ensure_sampled,
     from_fields,
@@ -141,7 +141,7 @@ def downscale(spec: NetworkSpec, neuron_scale: float, indegree_scale: float,
     if not 0.0 < neuron_scale <= 1.0 or not 0.0 < indegree_scale <= 1.0:
         raise DegenerateScaleError("scales must be in (0, 1]")
     before = _counts(spec)
-    out = copy.deepcopy(spec)
+    out = copy_spec(spec)
     out.seed = seed
     if neuron_scale == 1.0 and indegree_scale == 1.0:
         return out, _record("downscale", before, out, seed=seed, identity=True)
@@ -184,7 +184,7 @@ def scale_weights_linear(spec: NetworkSpec, indegree_scale: float
     if indegree_scale == 0:
         raise WafersimError("indegree_scale must be nonzero")
     before = _counts(spec)
-    out = copy.deepcopy(spec)
+    out = copy_spec(spec)
     factor = 1.0 / indegree_scale
     _rescale_weights(out, lambda pop, inh, w: w * factor)
     external = {}
@@ -208,7 +208,7 @@ def substitute_poisson_pool(spec: NetworkSpec, pool_size: int,
     if samples_per_target > pool_size:
         raise WafersimError("samples_per_target > pool_size")
     before = _counts(spec)
-    out = copy.deepcopy(spec)
+    out = copy_spec(spec)
     groups: dict[tuple, list[StimulusSpec]] = {}
     for st in out.stimuli:
         if st.kind == StimulusKind.POISSON_PER_NEURON:
@@ -245,7 +245,7 @@ def replace_input_with_leak_shift(spec: NetworkSpec
     rate * weight * tau_syn (the per-neuron rate already folds in K_ext).
     """
     before = _counts(spec)
-    out = copy.deepcopy(spec)
+    out = copy_spec(spec)
     if SynapseKind.CONDUCTANCE_EXP in out.synapse_kinds():
         raise WafersimError(
             "leak-shift substitution requires current-based stimuli; "
@@ -276,7 +276,7 @@ def convert_current_to_conductance(spec: NetworkSpec,
     stimulus has no source population to carry an inhibitory sign in
     conductance mode, so an inhibitory stimulus raises ``WafersimError``."""
     before = _counts(spec)
-    out = copy.deepcopy(spec)
+    out = copy_spec(spec)
     if out.synapse_kinds() - {SynapseKind.CURRENT_EXP}:
         raise WafersimError("conversion requires all projections current-based")
     negative = [st.sid for st in out.stimuli
@@ -318,7 +318,7 @@ def clamp_time_constants(spec: NetworkSpec, min_tau_syn: float
     if min_tau_syn <= 0:
         raise WafersimError("min_tau_syn must be > 0")
     before = _counts(spec)
-    out = copy.deepcopy(spec)
+    out = copy_spec(spec)
     affected = {}
     rescale = {}  # target pid -> (excitatory, inhibitory) weight factor
     for pop in out.populations:
@@ -358,7 +358,7 @@ def apply_parameter_variation(spec: NetworkSpec, cv_map: dict[str, float],
         if name not in {f.name for f in fields(NeuronParameters)}:
             raise VariationError(f"unknown neuron parameter '{name}'")
     before = _counts(spec)
-    out = copy.deepcopy(spec)
+    out = copy_spec(spec)
     active = {k: v for k, v in cv_map.items() if v > 0}
     for pop in out.populations:
         draws = {}

@@ -31,8 +31,9 @@ build time, in an edge table of fixed-width rows (sliced ELLPACK; Monakov et
 al. 2010, Kreutzer et al. 2014): a source's edges fill whole rows of
 ``CHUNK`` slots (fewer if no source has that many edges) in order of source,
 then projection or stimulus, then edge, and the rest of its last row adds
-weight +0.0 at offset 0.  A scatter gathers the firing sources' rows whole
-and adds them with one ``add.at``.  The padding changes no bit: every buffer
+weight +0.0 at offset 0.  A scatter gathers the firing sources' rows whole,
+about ``SCATTER_ROWS`` rows at a time, and adds each such chunk with one
+``add.at``.  The padding changes no bit: every buffer
 cell starts at +0.0, and x + y is -0.0 only when x and y both are, so no
 cell is ever -0.0, and adding +0.0 leaves every other value, NaN and
 infinities included, as it was; the real edges are added in the same order
@@ -59,14 +60,17 @@ import struct
 import time as _time
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
 
 from .network import (
+    EdgeList,
     NetworkSpec,
     NeuronParameters,
+    Sign,
     StimulusKind,
     SynapseKind,
     WafersimError,
@@ -95,6 +99,10 @@ CHUNK = 32
 # Hillis-Steele scan's log2(L) calls win; on a 2-core x86 host the two
 # paths cost the same at about 256 columns for blocks of 8, 15 and 64 steps.
 SCAN_WIDTH = 256
+# Most table rows one scatter gathers at a time (2 MB of offsets and weights
+# at 32 slots): a burst of firing sources is delivered in chunks of about
+# this many rows, so the scatter's memory does not grow with the burst.
+SCATTER_ROWS = 4096
 
 
 @dataclass
@@ -207,21 +215,23 @@ class _Engine:
             raise WafersimError("all delays must be >= dt")
         return np.maximum(1, np.round(delays / self.dt).astype(np.int64))
 
-    def _flat(self, dstep, chan, tgt) -> np.ndarray:
-        """Buffer offsets dstep*2n + chan*n + tgt of edges from the row of
-        the step their source fires in; offset // 2n is the delay step."""
-        return dstep * (2 * self.n) + chan * self.n + tgt
+    def _flat(self, e: EdgeList, target: str,
+              source: Optional[Sign] = None) -> np.ndarray:
+        """Buffer offsets dstep*2n + chan*n + tgt of the edges ``e`` onto
+        population ``target`` from the row of the step their source fires
+        in; offset // 2n is the delay step.  ``source`` is the sign of the
+        source population (None for a stimulus), which
+        ``inhibitory_channel`` reads in conductance mode."""
+        chan = inhibitory_channel(e.weight, self.conductance, source)
+        return (self._delay_steps(e.delay) * (2 * self.n) + chan * self.n
+                + (self.offsets[target] + e.tgt.astype(np.int64)))
 
     def _build_edges(self) -> None:
-        spec, offsets = self.spec, self.offsets
-        parts = []
+        spec, parts = self.spec, []
         for pr in spec.projections:
             e = spec.edges[pr.pid]
-            chan = inhibitory_channel(e.weight, self.conductance,
-                                      spec.population(pr.source).sign)
-            parts.append((offsets[pr.source] + e.src.astype(np.int64), e.weight,
-                          self._flat(self._delay_steps(e.delay), chan,
-                                     offsets[pr.target] + e.tgt.astype(np.int64))))
+            parts.append((self.offsets[pr.source], e.src, e.weight, partial(
+                self._flat, e, pr.target, spec.population(pr.source).sign)))
         self.edges = _edge_table(self.n, parts, 2 * self.n)
 
     def _build_drives(self) -> None:
@@ -229,28 +239,30 @@ class _Engine:
         whose source j drives only the j-th neuron of its target population;
         a shared pool group has one part per stimulus.  Each drive keeps the
         random stream of its stimulus or group."""
-        spec, offsets = self.spec, self.offsets
+        spec = self.spec
         self.drives = []  # (stream key, sources, mean count per step, table)
 
-        def add(key, size, rate_ms, parts):
-            if rate_ms > 0 and any(len(src) for src, _, _ in parts):
-                self.drives.append((key, size, rate_ms * self.dt,
-                                    _edge_table(size, parts, 2 * self.n)))
+        def add(key, size, rate_ms, edges):
+            if not any(len(e) for e, _ in edges):
+                return
+            # built at zero rate too, which checks the delays
+            table = _edge_table(size, [
+                (0, e.src, e.weight, partial(self._flat, e, target))
+                for e, target in edges], 2 * self.n)
+            if rate_ms > 0:
+                self.drives.append((key, size, rate_ms * self.dt, table))
 
         pools: dict[str, dict] = {}
         for st in spec.stimuli:
             if st.kind == StimulusKind.POISSON_PER_NEURON:
                 s = spec.population(st.target).size
-                j = np.arange(s, dtype=np.int64)
-                add(("stim", st.sid), s, st.rate * 1e-3, [(
-                    j, np.full(s, float(st.weight)),
-                    self._flat(self._delay_steps(np.array([st.delay])),
-                               inhibitory_channel(st.weight, self.conductance),
-                               offsets[st.target] + j))])
+                j = np.arange(s)
+                add(("stim", st.sid), s, st.rate * 1e-3, [(EdgeList.from_arrays(
+                    j, j, st.weight, st.delay), st.target)])
             else:
                 gid = st.pool_group or st.sid
                 pool = pools.setdefault(gid, {
-                    "size": st.pool_size, "rate_ms": st.rate * 1e-3, "parts": [],
+                    "size": st.pool_size, "rate_ms": st.rate * 1e-3, "edges": [],
                 })
                 if pool["size"] != st.pool_size or \
                         abs(pool["rate_ms"] - st.rate * 1e-3) > 1e-15:
@@ -258,14 +270,10 @@ class _Engine:
                         f"pool group {gid}: inconsistent pool size or rate")
                 e = spec.stim_edges.get(st.sid)
                 if e is not None and len(e):
-                    pool["parts"].append((
-                        e.src.astype(np.int64), e.weight, self._flat(
-                            self._delay_steps(e.delay),
-                            inhibitory_channel(e.weight, self.conductance),
-                            offsets[st.target] + e.tgt.astype(np.int64))))
+                    pool["edges"].append((e, st.target))
         for gid in sorted(pools):
             p = pools[gid]
-            add(("pool", gid), p["size"], p["rate_ms"], p["parts"])
+            add(("pool", gid), p["size"], p["rate_ms"], p["edges"])
 
     # -- main loop --
 
@@ -472,19 +480,25 @@ class _SpikeBuffer:
 def _edge_table(size: int, parts: list, stride: int) -> dict:
     """The edges of ``size`` sources as fixed-width rows (sliced ELLPACK).
 
-    ``parts`` holds ``(src, w, flat)`` arrays: each edge's source, weight
-    and buffer offset from the row of its source's firing step, for rows of
-    ``stride`` entries.  A row has ``CHUNK`` slots, or as many as the largest
-    out-degree if that is smaller.  Source s owns rows ``first[s]`` to
-    ``first[s+1]`` and fills them with its ``degree[s]`` edges in part
+    ``parts`` holds ``(base, src, w, offsets)``: the sources ``base + src``
+    of a part's edges, their weights, and a function that returns their
+    buffer offsets from the row of the source's firing step, for rows of
+    ``stride`` entries.  A row has ``CHUNK`` slots, or as many as the
+    largest out-degree if that is smaller.  Source s owns rows ``first[s]``
+    to ``first[s+1]`` and fills them with its ``degree[s]`` edges in part
     order, then edge order, which is the order a stable sort by source
     gives.  The slots after its last edge add weight +0.0 at offset 0.
-    ``lo`` and ``hi`` are the least and greatest offsets of the edges; without
-    edges they are ``BLOCK_CAP`` rows and one row.  Each part is written
-    through a per-source fill pointer, so no sorted copy of all edges is
-    ever held."""
-    counts = [np.bincount(src, minlength=size) for src, _, _ in parts]
-    degree = sum(counts, np.zeros(size, np.int64))
+    ``lo`` and ``hi`` are the least and greatest offsets of the edges;
+    without edges they are ``BLOCK_CAP`` rows and one row.
+
+    A first pass counts the out-degrees; the second fills in one part at a
+    time through per-source fill pointers, so neither the offsets of all
+    parts nor a sorted copy of all edges is ever held."""
+    counts = [np.bincount(src, minlength=size - base)
+              for base, src, _, _ in parts]
+    degree = np.zeros(size, np.int64)
+    for (base, *_), count in zip(parts, counts):
+        degree[base:] += count
     width = max(1, min(CHUNK, int(degree.max(initial=0))))
     n_rows = -(-degree // width)
     first = np.zeros(size + 1, np.int64)
@@ -494,17 +508,18 @@ def _edge_table(size: int, parts: list, stride: int) -> dict:
     fill = first[:-1] * width  # each source's next free slot
     row = max(stride, 1)
     lo, hi = BLOCK_CAP * row, row
-    for (src, w, flat), count in zip(parts, counts):
+    for (base, src, w, offsets), count in zip(parts, counts):
+        flat = offsets()
         # the part's edges stably sorted by source (sampled projections
         # mostly come sorted); in that order an edge's slot is its source's
         # fill pointer plus its rank among the part's edges of that source
         order = slice(None) if np.all(src[1:] >= src[:-1]) \
             else np.argsort(src, kind="stable")
-        slot = np.arange(len(src)) + np.repeat(fill - (np.cumsum(count) - count),
-                                               count)
+        slot = np.arange(len(src)) + np.repeat(
+            fill[base:] - (np.cumsum(count) - count), count)
         F.reshape(-1)[slot] = flat[order]
         W.reshape(-1)[slot] = w[order]
-        fill += count
+        fill[base:] += count
         lo = min(lo, int(flat.min(initial=lo)))
         hi = max(hi, int(flat.max(initial=hi)))
     return {"first": first, "n_rows": n_rows, "degree": degree,
@@ -515,18 +530,29 @@ def _scatter(buf, rows, srcs, table: dict, stride: int) -> int:
     """Add the edges of sources ``srcs``, firing in buffer ``rows`` of
     ``stride`` entries, to the flat buffer; returns the number of edges
     delivered.  The sources' table rows are gathered whole, each offset
-    by its firing row, and enter one ``add.at`` in the order of ``srcs``,
-    then the table's order, padding included."""
+    by its firing row, and added by ``add.at`` in the order of ``srcs``,
+    then the table's order, padding included.  The sources go in chunks,
+    cut where the gathered rows pass a multiple of ``SCATTER_ROWS``, so a
+    burst gathers fewer than ``SCATTER_ROWS`` rows plus one source's at a
+    time; the chunks go in order, so each buffer cell still takes its adds
+    in the same order."""
     n_rows = table["n_rows"][srcs]
     total = int(n_rows.sum())
     if not total:
         return 0
     ends = np.cumsum(n_rows)
-    idx = np.arange(total) + np.repeat(table["first"][srcs] - ends + n_rows,
-                                       n_rows)
-    pos = np.take(table["F"], idx, axis=0)
-    pos += np.repeat(rows * stride, n_rows)[:, None]
-    np.add.at(buf, pos.ravel(), np.take(table["W"], idx, axis=0).ravel())
+    cuts = np.searchsorted(ends, np.arange(SCATTER_ROWS, total, SCATTER_ROWS),
+                           side="right").tolist()
+    for a, b in zip([0] + cuts, cuts + [len(srcs)]):
+        if a == b:
+            continue
+        k, e = n_rows[a:b], ends[a:b]
+        start = e[0] - k[0]  # rows gathered before the chunk
+        idx = np.arange(e[-1] - start) + np.repeat(
+            table["first"][srcs[a:b]] + (start - e + k), k)
+        pos = np.take(table["F"], idx, axis=0)
+        pos += np.repeat(rows[a:b] * stride, k)[:, None]
+        np.add.at(buf, pos.ravel(), np.take(table["W"], idx, axis=0).ravel())
     return int(table["degree"][srcs].sum())
 
 

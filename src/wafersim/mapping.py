@@ -14,7 +14,6 @@ placement is restricted by the availability mask.
 
 from __future__ import annotations
 
-import copy
 import json
 import os
 from dataclasses import dataclass, field
@@ -27,6 +26,7 @@ from .hardware import WaferTopology, circuits_needed, pack_circuits
 from .network import (
     NetworkSpec,
     WafersimError,
+    copy_spec,
     ensure_sampled,
     in_degree_array,
     mapping_relevant_hash,
@@ -139,9 +139,10 @@ def _asic_pairs(placement: Placement, offsets: dict[str, int], pr, e
     return sa * len(placement.asic_used) + ta
 
 
-def route(spec: NetworkSpec, placement: Placement, topology: WaferTopology
-          ) -> MappingResult:
-    """Allocate shared (source ASIC -> target ASIC) routes and account loss."""
+def route(spec: NetworkSpec, placement: Placement, topology: WaferTopology,
+          spec_hash: Optional[str] = None) -> MappingResult:
+    """Allocate shared (source ASIC -> target ASIC) routes and account loss.
+    ``spec_hash`` is ``mapping_relevant_hash(spec)`` if the caller has it."""
     ensure_sampled(spec)
     offsets = spec.population_offsets()
     coords = topology.asic_coords()
@@ -193,21 +194,27 @@ def route(spec: NetworkSpec, placement: Placement, topology: WaferTopology
         admitted_pairs=admitted,
         lost_pairs=lost_pairs,
         lane_utilization=utilization,
-        spec_hash=mapping_relevant_hash(spec),
+        spec_hash=spec_hash or mapping_relevant_hash(spec),
         topology_hash=topology.content_hash(),
     )
 
 
-def map_network(spec: NetworkSpec, topology: WaferTopology) -> MappingResult:
+def map_network(spec: NetworkSpec, topology: WaferTopology,
+                spec_hash: Optional[str] = None) -> MappingResult:
     """place + route in one call."""
-    return route(spec, place(spec, topology), topology)
+    return route(spec, place(spec, topology), topology, spec_hash)
 
 
-def apply_loss(spec: NetworkSpec, result: MappingResult) -> NetworkSpec:
-    """Remove the lost edges; the returned spec is what the simulator runs."""
-    if result.spec_hash != mapping_relevant_hash(spec):
+def apply_loss(spec: NetworkSpec, result: MappingResult,
+               spec_hash: Optional[str] = None) -> NetworkSpec:
+    """Remove the lost edges; the returned spec is what the simulator runs.
+    A ``result`` mapped for a spec of another ``mapping_relevant_hash``
+    raises ``MappingMismatchError``; ``spec_hash`` is that hash of ``spec``
+    if the caller has it.  The edge lists that lose no edge share their
+    arrays with ``spec``'s."""
+    if result.spec_hash != (spec_hash or mapping_relevant_hash(spec)):
         raise MappingMismatchError("mapping result was computed for a different spec")
-    out = copy.deepcopy(spec)
+    out = copy_spec(spec)
     if not result.lost_pairs:
         return out
     offsets = out.population_offsets()

@@ -12,6 +12,7 @@ g * (E - V) is in nA).
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import numbers
@@ -275,6 +276,18 @@ class NetworkSpec:
 
     def expected_total_synapses(self) -> float:
         return sum(self.expected_edge_count(pr) for pr in self.projections)
+
+
+def copy_spec(spec: NetworkSpec) -> NetworkSpec:
+    """A deep copy of ``spec`` whose edge lists hold the arrays of
+    ``spec``'s: its edge lists are new objects, so assigning an array to one
+    leaves ``spec`` as it was, but writing into an array writes into both.
+    The transformations that copy a spec assign new arrays and never write
+    into old ones, so the two specs hold each edge once between them."""
+    shared = {id(a): a for table in (spec.edges, spec.stim_edges)
+              for e in table.values()
+              for a in (e.src, e.tgt, e.weight, e.delay)}
+    return copy.deepcopy(spec, shared)
 
 
 # --- validation -------------------------------------------------------------

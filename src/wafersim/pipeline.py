@@ -279,7 +279,8 @@ def map_stage(spec: NetworkSpec, topology: WaferTopology, out_dir: Path
     if not cap.feasible:
         raise CapacityError(
             "network does not fit the wafer: " + "; ".join(cap.notes))
-    cache_key = f"{mapping_relevant_hash(spec)}_{topology.content_hash()}"
+    spec_hash = mapping_relevant_hash(spec)
+    cache_key = f"{spec_hash}_{topology.content_hash()}"
     cache_path = out_dir / f"mapping_{cache_key}.json"
     result = None
     if cache_path.exists():
@@ -289,13 +290,13 @@ def map_stage(spec: NetworkSpec, topology: WaferTopology, out_dir: Path
             pass  # an entry that does not load is a miss: remap
     cached = result is not None
     if not cached:
-        result = map_network(spec, topology)
+        result = map_network(spec, topology, spec_hash)
         save_mapping(result, cache_path)
     artifacts["mapping"] = cache_path
     artifacts["mapping_report"] = out_dir / "mapping_report.json"
     artifacts["mapping_report"].write_text(
         json.dumps(mapping_report(result, topology), indent=2))
-    mapped = apply_loss(spec, result)
+    mapped = apply_loss(spec, result, spec_hash)
     artifacts["mapped_spec"] = save_spec(mapped, out_dir / "mapped.json")
     return mapped, result, cached, artifacts
 
@@ -336,15 +337,16 @@ def run_pipeline(config: Union[PipelineConfig, str, Path, dict],
     artifacts["spec"] = save_spec(spec, out_dir / "spec.json")
 
     with _stage("adapt"):
-        adapted, _, paths = adapt_stage(spec, sections.adaptation, out_dir)
+        run_spec, _, paths = adapt_stage(spec, sections.adaptation, out_dir)
     artifacts.update(paths)
 
     mapping_cached = False
-    run_spec = adapted
     if sections.topology is not None:
+        # rebinding run_spec drops the adapted spec: only the mapped one
+        # is simulated
         with _stage("map"):
             run_spec, _, mapping_cached, paths = map_stage(
-                adapted, sections.topology, out_dir)
+                run_spec, sections.topology, out_dir)
         artifacts.update(paths)
 
     with _stage("simulate"):

@@ -28,6 +28,8 @@ from wafersim.adaptation import (
     scale_weights_linear,
     substitute_poisson_pool,
 )
+from wafersim.hardware import WaferTopology
+from wafersim.mapping import apply_loss, map_network
 from wafersim.models import BrunelParams, build_brunel
 from wafersim.network import (
     NetworkSpec,
@@ -37,6 +39,7 @@ from wafersim.network import (
     StimulusSpec,
     SynapseKind,
     WafersimError,
+    copy_spec,
     ensure_sampled,
     in_degree_array,
     spec_content_hash,
@@ -397,3 +400,71 @@ class TestPipeline:
         a, _ = adapt_pipeline(spec, cfg)
         b, _ = adapt_pipeline(spec, cfg)
         assert spec_content_hash(a) == spec_content_hash(b)
+
+
+EDGE_ARRAYS = ("src", "tgt", "weight", "delay")
+
+
+def shared_input():
+    """A sampled 2083-neuron Brunel network with pool edges and one
+    per-neuron stimulus left, so that every step has work to do."""
+    spec, _ = substitute_poisson_pool(
+        ensure_sampled(small_brunel(n=2083, seed=1)), 100, 20, seed=1)
+    spec.stimuli.append(StimulusSpec("extra", "exc", StimulusKind.POISSON_PER_NEURON,
+                                     rate=500.0, weight=0.1))
+    return spec
+
+
+SHARING_STEPS = {
+    "downscale": lambda s: downscale(s, 0.5, 0.5, seed=1)[0],
+    "scale_weights_linear": lambda s: scale_weights_linear(s, 0.5)[0],
+    "substitute_poisson_pool":
+        lambda s: substitute_poisson_pool(s, 100, 20, seed=2)[0],
+    "replace_input_with_leak_shift":
+        lambda s: replace_input_with_leak_shift(s)[0],
+    "convert_current_to_conductance":
+        lambda s: convert_current_to_conductance(s)[0],
+    "clamp_time_constants": lambda s: clamp_time_constants(s, 5.0)[0],
+    "apply_parameter_variation": lambda s: apply_parameter_variation(
+        s, {"v_thresh": 0.05, "tau_m": 0.1}, seed=1)[0],
+    "apply_loss": lambda s: apply_loss(
+        s, map_network(s, WaferTopology(route_capacity=8))),
+}
+
+
+class TestSharedEdgeArrays:
+    """Each step copies its input with the edge arrays shared
+    (``copy_spec``), so no step may write into an edge array.  With the
+    input's arrays read-only any such write raises, and the input must
+    still hold its saved values afterwards."""
+
+    @pytest.mark.parametrize("step", sorted(SHARING_STEPS))
+    def test_step_leaves_input_arrays(self, step):
+        spec = shared_input()
+        saved = {}
+        for section in ("edges", "stim_edges"):
+            for key, e in getattr(spec, section).items():
+                for name in EDGE_ARRAYS:
+                    a = getattr(e, name)
+                    a.flags.writeable = False
+                    saved[section, key, name] = a.copy()
+        out = SHARING_STEPS[step](spec)
+        for (section, key, name), a in saved.items():
+            assert np.array_equal(getattr(getattr(spec, section)[key], name), a)
+        if step == "apply_loss":
+            assert sum(map(len, out.edges.values())) < \
+                sum(map(len, spec.edges.values()))
+
+    def test_copy_shares_arrays_not_edge_lists(self):
+        spec = shared_input()
+        out = copy_spec(spec)
+        for section in ("edges", "stim_edges"):
+            for key, e in getattr(spec, section).items():
+                copied = getattr(out, section)[key]
+                assert copied is not e
+                assert all(getattr(copied, name) is getattr(e, name)
+                           for name in EDGE_ARRAYS)
+        before = spec.edges["exc->exc"].weight
+        out.edges["exc->exc"].weight = before * 2
+        assert spec.edges["exc->exc"].weight is before
+        assert out.populations[0] is not spec.populations[0]

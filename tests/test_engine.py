@@ -1,4 +1,6 @@
 import hashlib
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from wafersim.models import BrunelParams, build_brunel
 from wafersim.network import (
     EdgeList,
     ExplicitList,
+    FixedProbability,
     NetworkSpec,
     NeuronParameters,
     Population,
@@ -341,17 +344,22 @@ class TestEdgeTable:
             for e in csr:
                 if src[e] == s:
                     expected[row * stride + flat[e]] += w[e]
+        # each part's sources given as its least source plus uint32 ids
         table = engine._edge_table(size, [
-            (np.array(s, np.int64), np.array(x, np.float64),
-             np.array(f, np.int64)) for s, x, f in parts], stride)
-        buf = np.zeros(rows * stride)
+            (min(s, default=0), np.array(s, np.uint32) - min(s, default=0),
+             np.array(x, np.float64), lambda f=f: np.array(f, np.int64))
+            for s, x, f in parts], stride)
         r = np.array([row for row, _ in fires], np.int64)
         srcs = np.array([s for _, s in fires], np.int64)
-        delivered = engine._scatter(buf, r, srcs, table, stride)
-        assert np.array_equal(buf.view(np.int64), expected.view(np.int64))
-        assert delivered == table["degree"][srcs].sum() \
-            == sum(src.count(s) for s in srcs.tolist())
-        assert not np.any((buf == 0) & np.signbit(buf))
+        # in one chunk, and cut after every few gathered rows
+        for chunk in (engine.SCATTER_ROWS, 1, 3):
+            buf = np.zeros(rows * stride)
+            with mock.patch.object(engine, "SCATTER_ROWS", chunk):
+                delivered = engine._scatter(buf, r, srcs, table, stride)
+            assert np.array_equal(buf.view(np.int64), expected.view(np.int64))
+            assert delivered == table["degree"][srcs].sum() \
+                == sum(src.count(s) for s in srcs.tolist())
+            assert not np.any((buf == 0) & np.signbit(buf))
         degree = max(map(src.count, set(src)), default=0)
         assert table["F"].shape[1] == max(1, min(engine.CHUNK, degree))
 
@@ -581,6 +589,66 @@ class TestPinnedOutput:
         assert record.spike_count() == spikes
         assert hashlib.blake2b(record.times.tobytes() + record.ids.tobytes(),
                                digest_size=16).hexdigest() == digest
+
+
+def burst_spec(k, sink):
+    """``k`` neurons whose rest lies above threshold, so that all fire in
+    the first step and then stay refractory, each reaching every one of
+    ``sink`` neurons through an edge of random weight and delay (1-2 ms);
+    the sink neurons, which reach no one, also get a per-neuron drive.  A
+    sink neuron rests at 0 mV and never fires, so its membrane keeps the
+    low bits of its input sums, which any change in their order moves."""
+    burst = NeuronParameters(v_rest=-40.0, tau_ref=1000.0)
+    sink_params = NeuronParameters(v_rest=0.0, v_reset=-10.0, v_thresh=1e3)
+    spec = ensure_sampled(NetworkSpec(
+        [Population("burst", k, burst), Population("sink", sink, sink_params)],
+        [Projection("b->s", "burst", "sink", FixedProbability(1.0), 0.0, 1.0)],
+        [StimulusSpec("drive", "sink", StimulusKind.POISSON_PER_NEURON,
+                      rate=4000.0, weight=0.05)]))
+    e = spec.edges["b->s"]
+    rng = np.random.default_rng(k)
+    e.weight = rng.uniform(0.0, 0.02, len(e))
+    e.delay = rng.choice([1.0, 1.3, 2.0], len(e))
+    return spec
+
+
+class TestScatterChunks:
+    """A burst is delivered in chunks of ``SCATTER_ROWS`` gathered rows:
+    the output does not depend on the cut, and the scatter's memory
+    follows the chunk, not the burst."""
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_cut_changes_no_bit(self, chunk, monkeypatch):
+        spec = burst_spec(64, 512)
+        cfg = SimulationConfig(dt=0.1, duration=15.0,
+                               membrane_probes=[0, 64, 65, 300, 575])
+        ref = simulate(spec, cfg)
+        monkeypatch.setattr(engine, "SCATTER_ROWS", chunk)
+        cut = simulate(spec, cfg)
+        assert (ref.times[:64] == 0.1).all()  # the burst, in one block
+        assert ref.deliveries == cut.deliveries > 64 * 512
+        assert np.array_equal(ref.times, cut.times)
+        assert np.array_equal(ref.ids, cut.ids)
+        for pid, v in ref.probes.items():
+            assert np.array_equal(v.view(np.int64), cut.probes[pid].view(np.int64))
+
+    def test_peak_does_not_follow_burst(self):
+        """The tracemalloc peak of ``run``, above the edge table built
+        before it, for a burst of 16,384 table rows and one of 32,768;
+        gathered whole, the second would take 8 MB more."""
+        peaks = []
+        for k in (256, 512):
+            eng = engine._Engine(burst_spec(k, 2048),
+                                 SimulationConfig(dt=0.1, duration=5.0))
+            assert eng.edges["n_rows"][:k].sum() == 64 * k
+            tracemalloc.start()
+            try:
+                record = eng.run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert (record.times[:k] == 0.1).all()
+        assert peaks[1] - peaks[0] < 2**20
 
 
 class TestRecordingOptions:

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wafersim import pipeline
+from wafersim import mapping, network, pipeline
 from wafersim.engine import load_spikes_binary
 from wafersim.network import WafersimError
 from wafersim.pipeline import (
@@ -74,6 +74,24 @@ class TestMappingCache:
         assert run_pipeline(small_config(), tmp_path).mapping_cached
         # overwritten in place, no temp file left behind
         assert [p.name for p in tmp_path.glob("mapping_*_*")] == [cache.name]
+
+    def test_structure_hashed_once_per_map_stage(self, tmp_path, monkeypatch):
+        """The cache key, the mapping's ``spec_hash`` and ``apply_loss``'s
+        check share one ``mapping_relevant_hash`` of the adapted spec, on a
+        miss and on a hit."""
+        calls = []
+
+        def counted(spec):
+            calls.append(spec)
+            return network.mapping_relevant_hash(spec)
+
+        monkeypatch.setattr(pipeline, "mapping_relevant_hash", counted)
+        monkeypatch.setattr(mapping, "mapping_relevant_hash", counted)
+        for cached in (False, True):
+            calls.clear()
+            assert run_pipeline(small_config(), tmp_path).mapping_cached \
+                == cached
+            assert len(calls) == 1
 
     def test_seed_change_remaps(self, tmp_path):
         run_pipeline(small_config(seed=1), tmp_path)
