@@ -87,8 +87,7 @@ class RateHistogram:
 
 
 def rate_distribution(record: SpikeRecord, population: str,
-                      window: tuple[float, float], bins: int = 20,
-                      rate_range: Optional[tuple[float, float]] = None
+                      window: tuple[float, float], bins: int = 20
                       ) -> RateHistogram:
     """Histogram of per-neuron rates within one population."""
     if bins <= 0:
@@ -100,7 +99,7 @@ def rate_distribution(record: SpikeRecord, population: str,
     rates = summary.per_neuron_rates[member]
     if not len(rates):
         raise WafersimError(f"population {population} has no recorded neurons")
-    counts, edges = np.histogram(rates, bins=bins, range=rate_range)
+    counts, edges = np.histogram(rates, bins=bins)
     q1, q2, q3 = np.percentile(rates, [25, 50, 75])
     return RateHistogram(edges, counts, (float(q1), float(q2), float(q3)))
 

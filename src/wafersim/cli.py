@@ -20,20 +20,13 @@ from .hardware import (
     capacity_report,
 )
 from .mapping import MappingMismatchError, PlacementOverflowError
-from .network import (
-    WafersimError,
-    ensure_sampled,
-    from_fields,
-    load_spec,
-    save_spec,
-    validate_network,
-)
+from .network import WafersimError, ensure_sampled, from_fields, load_spec
 from .pipeline import (
     PipelineConfig,
     StageFailure,
     SweepConfig,
     adapt_stage,
-    build_model,
+    build_stage,
     map_stage,
     phase_sweep,
     run_pipeline,
@@ -73,13 +66,9 @@ def _out_dir(args) -> Path:
 
 def cmd_build(args) -> int:
     config, _ = _load_config(args, model={"name": args.model})
-    spec = build_model(config.sections().model, config.seed)
-    report = validate_network(spec)
-    if not report.ok:
-        print("validation failed:", "; ".join(report.findings), file=sys.stderr)
-        return EXIT_VALIDATION
-    path = save_spec(spec, _out_dir(args) / "spec.json")
-    print(f"wrote {path} ({spec.n_neurons()} neurons, "
+    spec, artifacts = build_stage(config.sections().model, config.seed,
+                                  _out_dir(args))
+    print(f"wrote {artifacts['spec']} ({spec.n_neurons()} neurons, "
           f"{spec.expected_total_synapses():.0f} expected synapses)")
     return EXIT_OK
 
@@ -109,7 +98,7 @@ def cmd_simulate(args) -> int:
                                                "dt": args.dt})
     simulation = config.sections().simulation
     spec = ensure_sampled(load_spec(args.spec))
-    record, _ = simulate_stage(spec, simulation, _out_dir(args))
+    record, _, _ = simulate_stage(spec, simulation, _out_dir(args))
     print(f"{record.spike_count()} spikes, {record.deliveries} deliveries, "
           f"{record.wall_time:.3f} s wall")
     return EXIT_OK
@@ -127,8 +116,6 @@ def cmd_analyze(args) -> int:
 def cmd_sweep(args) -> int:
     config, sweep = _load_config(args)
     config.model = {"name": "brunel", **config.model}
-    if config.analysis.get("window_start") is None:  # the sweep's 500 ms
-        config.analysis = {**config.analysis, "window_start": 500.0}
     g_values = [float(v) for v in (args.g.split(",") if args.g else sweep.g)]
     eta_values = [float(v) for v in (
         args.eta.split(",") if args.eta else sweep.eta)]
@@ -143,10 +130,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_bench(args) -> int:
     if args.config:
-        config, _ = _load_config(args)
+        config, _ = _load_config(args, simulation={"duration": args.duration})
     else:
-        config = scaled_brunel_config(seed=args.seed,
-                                      duration=args.duration or 2000.0)
+        config = scaled_brunel_config(seed=args.seed, duration=(
+            2000.0 if args.duration is None else args.duration))
     # run_pipeline checks config.sections() before it makes the directory
     result = run_pipeline(config, args.out_dir)
     print(result.throughput.render_text())

@@ -724,7 +724,6 @@ def _record_header(record: SpikeRecord) -> dict:
         "dt_ms": record.dt,
         "n_neurons": record.n_neurons,
         "deliveries": record.deliveries,
-        "wall_time_s": record.wall_time,
         "population_slices": {k: list(v) for k, v in record.population_slices.items()},
         "recorded_neurons": (None if record.recorded_neurons is None
                              else record.recorded_neurons.tolist()),
@@ -875,6 +874,9 @@ def save_spikes_binary(record: SpikeRecord, path: Union[str, Path]) -> Path:
 
 
 def load_spikes_binary(path: Union[str, Path]) -> SpikeRecord:
+    """The record that ``save_spikes_binary`` wrote.  A header without
+    ``wall_time_s`` (the run's wall time, which older files carry) loads
+    with a wall time of 0."""
     raw = Path(path).read_bytes()
     if raw[:4] != _SPIKE_MAGIC:
         raise WafersimError("not a spike record file")
@@ -885,7 +887,18 @@ def load_spikes_binary(path: Union[str, Path]) -> SpikeRecord:
         probe_ids = [int(p) for p in header["probe_ids"]]
         n_probe_values = (0 if n_times is None else int(n_times)) \
             * (1 + len(probe_ids))
-    except (struct.error, ValueError, KeyError, TypeError) as exc:
+        recorded = header["recorded_neurons"]
+        fields = dict(
+            n_neurons=header["n_neurons"], duration=header["duration_ms"],
+            dt=header["dt_ms"], deliveries=header["deliveries"],
+            wall_time=header.get("wall_time_s", 0.0),
+            population_slices={k: tuple(v) for k, v in
+                               header["population_slices"].items()},
+            config=header["config"],
+            recorded_neurons=(None if recorded is None
+                              else np.asarray(recorded, np.uint32)))
+    except (struct.error, ValueError, KeyError, TypeError, AttributeError,
+            OverflowError) as exc:
         raise WafersimError(f"corrupt spike record header: {exc!r}") from None
     body = 8 + hlen
     spike_bytes = n_spikes * _SPIKE_DTYPE.itemsize
@@ -899,16 +912,9 @@ def load_spikes_binary(path: Union[str, Path]) -> SpikeRecord:
     probes = probes.reshape(1 + len(probe_ids), -1)
     return SpikeRecord(
         times=rec["time"].astype(np.float64), ids=rec["id"].astype(np.uint32),
-        n_neurons=header["n_neurons"], duration=header["duration_ms"],
-        dt=header["dt_ms"], deliveries=header["deliveries"],
-        wall_time=header["wall_time_s"],
-        population_slices={k: tuple(v) for k, v in header["population_slices"].items()},
-        config=header["config"],
-        recorded_neurons=(None if header["recorded_neurons"] is None
-                          else np.asarray(header["recorded_neurons"], np.uint32)),
         probe_times=None if n_times is None else probes[0].copy(),
         probes={pid: probes[i + 1].copy() for i, pid in enumerate(probe_ids)},
-    )
+        **fields)
 
 
 def save_membrane_csv(record: SpikeRecord, path: Union[str, Path]) -> Path:

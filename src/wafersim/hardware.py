@@ -32,6 +32,10 @@ class CapacityError(WafersimError):
     pass
 
 
+class PlacementOverflowError(WafersimError):
+    pass
+
+
 @dataclass
 class WaferTopology:
     rows: int = 16
@@ -114,8 +118,7 @@ def pack_circuits(circuits: np.ndarray, topology: WaferTopology
     """Pack one population, which starts on a fresh ASIC: neurons in index
     order fill an ASIC until the next neuron's circuits do not fit, and that
     neuron opens the next ASIC.  Returns the index of the first neuron on
-    each ASIC used, or None if a neuron needs more circuits than an ASIC has.
-    Both the capacity check and the mapper place with this function."""
+    each ASIC used, or None if a neuron needs more circuits than an ASIC has."""
     ends = np.cumsum(circuits)
     starts = []
     i = 0
@@ -128,6 +131,33 @@ def pack_circuits(circuits: np.ndarray, topology: WaferTopology
         starts.append(i)
         i = j
     return np.asarray(starts, dtype=np.int64)
+
+
+def pack_populations(spec: NetworkSpec, circuits: np.ndarray,
+                     topology: WaferTopology) -> tuple[np.ndarray, dict[str, range]]:
+    """The placement rule of the capacity check and the mapper: the
+    populations in declaration order, each packed by ``pack_circuits`` from
+    a fresh ASIC, where neuron i merges ``circuits[i]`` circuits.  Returns
+    the ASIC of each neuron and the ASICs of each population, numbered from
+    0 in placement order and not bounded by the wafer's ASIC count.  Raises
+    ``PlacementOverflowError`` if a neuron needs more circuits than an ASIC
+    has."""
+    neuron_asic = np.empty(len(circuits), dtype=np.int64)
+    pop_asics = {}
+    offsets = spec.population_offsets()
+    first = 0  # the population's first ASIC
+    for pop in spec.populations:
+        o = offsets[pop.pid]
+        starts = pack_circuits(circuits[o:o + pop.size], topology)
+        if starts is None:
+            raise PlacementOverflowError(
+                f"population {pop.pid} has an unplaceable neuron")
+        stop = first + len(starts)
+        neuron_asic[o:o + pop.size] = np.repeat(
+            np.arange(first, stop), np.diff(starts, append=pop.size))
+        pop_asics[pop.pid] = range(first, stop)
+        first = stop
+    return neuron_asic, pop_asics
 
 
 @dataclass
@@ -151,8 +181,9 @@ def capacity_report(topology: WaferTopology, spec: NetworkSpec) -> CapacityRepor
     """Feasibility summary: circuits and ASICs required vs available.
 
     Accounts for circuit merging per neuron fan-in and for per-population
-    packing fragmentation (the packer the mapper uses), so ``feasible``
-    guarantees the mapper can place all neurons.  Does not route.
+    packing fragmentation (``pack_populations``, as the mapper places), so
+    ``feasible`` guarantees the mapper can place all neurons.  Does not
+    route.
     """
     notes = []
     degrees = in_degree_array(spec)
@@ -168,17 +199,13 @@ def capacity_report(topology: WaferTopology, spec: NetworkSpec) -> CapacityRepor
     else:
         per_neuron = circuits_needed(degrees, topology)
         required_circuits = int(per_neuron.sum())
-        required_asics = 0
-        offsets = spec.population_offsets()
-        for pop in spec.populations:  # each population starts on a fresh ASIC
-            o = offsets[pop.pid]
-            starts = pack_circuits(per_neuron[o:o + pop.size], topology)
-            if starts is None:
-                feasible = False
-                notes.append(f"population {pop.pid} has an unplaceable neuron")
-                required_asics = None
-                break
-            required_asics += len(starts)
+        try:
+            _, pop_asics = pack_populations(spec, per_neuron, topology)
+            required_asics = sum(map(len, pop_asics.values()))
+        except PlacementOverflowError as exc:
+            feasible = False
+            notes.append(str(exc))
+            required_asics = None
         if required_asics is not None and required_asics > topology.n_asics:
             feasible = False
             notes.append(

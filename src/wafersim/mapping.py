@@ -22,7 +22,12 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .hardware import WaferTopology, circuits_needed, pack_circuits
+from .hardware import (
+    PlacementOverflowError,
+    WaferTopology,
+    circuits_needed,
+    pack_populations,
+)
 from .network import (
     NetworkSpec,
     WafersimError,
@@ -31,10 +36,6 @@ from .network import (
     in_degree_array,
     mapping_relevant_hash,
 )
-
-
-class PlacementOverflowError(WafersimError):
-    pass
 
 
 class MappingMismatchError(WafersimError):
@@ -76,40 +77,24 @@ class MappingResult:
 
 
 def place(spec: NetworkSpec, topology: WaferTopology) -> Placement:
-    """Greedy contiguous placement: populations in declaration order, each
-    packed by ``pack_circuits`` from a fresh ASIC; each neuron merges
+    """Greedy contiguous placement by ``pack_populations``: populations in
+    declaration order, each from a fresh ASIC; each neuron merges
     circuits_needed(fan-in) circuits on its home ASIC."""
     ensure_sampled(spec)
     degrees = in_degree_array(spec)
     # packed with fan-ins capped at max_fan_in, so that a network that does
     # not fit raises PlacementOverflowError even if a fan-in is also too large
     circuits = circuits_needed(np.minimum(degrees, topology.max_fan_in), topology)
-    neuron_asic = np.empty(spec.n_neurons(), dtype=np.int64)
+    neuron_asic, pop_asics = pack_populations(spec, circuits, topology)
+    for pid, asics in pop_asics.items():
+        if asics.stop > topology.n_asics:
+            raise PlacementOverflowError(
+                f"ran out of ASICs placing population {pid}")
     asic_used = np.zeros(topology.n_asics, dtype=np.int64)
-    pop_asics: dict[str, list[int]] = {}
-    offsets = spec.population_offsets()
-    first = 0  # the population's first ASIC
-    for pop in spec.populations:
-        o = offsets[pop.pid]
-        pop_circuits = circuits[o:o + pop.size]
-        starts = pack_circuits(pop_circuits, topology)
-        if starts is None:
-            raise PlacementOverflowError(
-                f"population {pop.pid} has a neuron that needs more circuits "
-                f"than an ASIC has"
-            )
-        stop = first + len(starts)
-        if stop > topology.n_asics:
-            raise PlacementOverflowError(
-                f"ran out of ASICs placing population {pop.pid}"
-            )
-        neuron_asic[o:o + pop.size] = np.repeat(
-            np.arange(first, stop), np.diff(starts, append=pop.size))
-        asic_used[first:stop] = np.add.reduceat(pop_circuits, starts)
-        pop_asics[pop.pid] = list(range(first, stop))
-        first = stop
+    np.add.at(asic_used, neuron_asic, circuits)
     circuits_needed(degrees, topology)  # InfeasibleFanInError past max_fan_in
-    return Placement(neuron_asic, circuits, asic_used, pop_asics)
+    return Placement(neuron_asic, circuits, asic_used,
+                     {pid: list(asics) for pid, asics in pop_asics.items()})
 
 
 def _manhattan_path(a: tuple[int, int], b: tuple[int, int]

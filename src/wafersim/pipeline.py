@@ -27,7 +27,7 @@ from .analysis import (
     rate_distribution,
     synchrony,
 )
-from .bench import throughput_metrics
+from .bench import ThroughputReport, throughput_metrics
 from .engine import (
     SimulationConfig,
     SpikeRecord,
@@ -249,6 +249,20 @@ def write_analysis(record: SpikeRecord, analysis: AnalysisConfig,
                      "analysis": out_dir / "analysis.json"}
 
 
+def build_stage(params: Union[BrunelParams, MicrocircuitParams, None],
+                seed: int, out_dir: Path) -> tuple[NetworkSpec, dict]:
+    """The build stage: build the network of ``params`` with ``seed``,
+    validate it (raising ``ValidationFailure``) and write it, unsampled, as
+    ``spec.json`` into ``out_dir``.  Returns the spec and the written
+    artifacts by name."""
+    spec = build_model(params, seed)
+    report = validate_network(spec)
+    if not report.ok:
+        raise ValidationFailure("validation failed: "
+                                + "; ".join(report.findings))
+    return spec, {"spec": save_spec(spec, out_dir / "spec.json")}
+
+
 def adapt_stage(spec: NetworkSpec, adapt_cfg: AdaptationConfig, out_dir: Path
                 ) -> tuple[NetworkSpec, AdaptationReport, dict]:
     """The adapt stage: adapt and sample ``spec``, then write ``adapted.json``
@@ -302,18 +316,25 @@ def map_stage(spec: NetworkSpec, topology: WaferTopology, out_dir: Path
 
 
 def simulate_stage(spec: NetworkSpec, sim_cfg: SimulationConfig, out_dir: Path
-                   ) -> tuple[SpikeRecord, dict]:
+                   ) -> tuple[SpikeRecord, ThroughputReport, dict]:
     """The simulate stage: simulate ``spec`` and write ``spikes.csv``,
-    ``spikes.bin`` and, when the config sets probes, ``membrane.csv``.
-    Returns the spike record and the written artifacts by name."""
+    ``spikes.bin``, the run's wall time and events per second as
+    ``throughput.json``/``.txt`` and, when the config sets probes,
+    ``membrane.csv``.  Returns the spike record, its throughput and the
+    written artifacts by name."""
     record = simulate(spec, sim_cfg)
+    throughput = throughput_metrics(record)
     artifacts = {
         "spikes_csv": save_spikes_csv(record, out_dir / "spikes.csv"),
         "spikes_bin": save_spikes_binary(record, out_dir / "spikes.bin"),
+        "throughput": out_dir / "throughput.json",
     }
+    artifacts["throughput"].write_text(
+        json.dumps(throughput.to_dict(), indent=2))
+    (out_dir / "throughput.txt").write_text(throughput.render_text() + "\n")
     if record.probes:
         artifacts["membrane"] = save_membrane_csv(record, out_dir / "membrane.csv")
-    return record, artifacts
+    return record, throughput, artifacts
 
 
 def run_pipeline(config: Union[PipelineConfig, str, Path, dict],
@@ -330,11 +351,8 @@ def run_pipeline(config: Union[PipelineConfig, str, Path, dict],
     artifacts = {}
 
     with _stage("build"):
-        spec = build_model(sections.model, config.seed)
-    report = validate_network(spec)
-    if not report.ok:
-        raise ValidationFailure("; ".join(report.findings))
-    artifacts["spec"] = save_spec(spec, out_dir / "spec.json")
+        spec, paths = build_stage(sections.model, config.seed, out_dir)
+    artifacts.update(paths)
 
     with _stage("adapt"):
         run_spec, _, paths = adapt_stage(spec, sections.adaptation, out_dir)
@@ -350,17 +368,12 @@ def run_pipeline(config: Union[PipelineConfig, str, Path, dict],
         artifacts.update(paths)
 
     with _stage("simulate"):
-        record, paths = simulate_stage(run_spec, sections.simulation, out_dir)
+        record, throughput, paths = simulate_stage(
+            run_spec, sections.simulation, out_dir)
     artifacts.update(paths)
 
     with _stage("analyze"):
         artifacts.update(write_analysis(record, sections.analysis, out_dir)[1])
-
-    throughput = throughput_metrics(record)
-    (out_dir / "throughput.json").write_text(
-        json.dumps(throughput.to_dict(), indent=2))
-    (out_dir / "throughput.txt").write_text(throughput.render_text() + "\n")
-    artifacts["throughput"] = out_dir / "throughput.json"
     return PipelineResult(out_dir, artifacts, mapping_cached,
                           record=record, throughput=throughput)
 

@@ -1,5 +1,7 @@
+import argparse
 import json
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,14 @@ from wafersim.cli import (
 )
 from wafersim.engine import load_spikes_binary
 from wafersim.models import load_microcircuit_data
-from wafersim.pipeline import run_pipeline
+from wafersim.pipeline import (
+    SweepConfig,
+    run_pipeline,
+    scaled_brunel_config,
+    scaled_microcircuit_config,
+)
+
+EXPERIMENTS = Path(__file__).resolve().parents[1] / "experiments"
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -239,6 +248,19 @@ class TestStageCommands:
         assert (analysis.window_start,
                 analysis.synchrony_bin_ms) == (120.0, 4.0)
 
+    def test_sweep_leaves_window_start_unset(self, tmp_path, monkeypatch):
+        # so that a cell reads it as run_pipeline does: min(1000, duration/2)
+        seen = []
+
+        def capture(config, *args, **kwargs):
+            seen.append(config)
+            raise ValueError("captured")
+
+        monkeypatch.setattr(cli, "phase_sweep", capture)
+        assert main(["sweep", "--g", "4", "--eta", "2",
+                     "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
+        assert seen[0].sections().analysis.window_start is None
+
     # a full pipeline config without the section a command reads: that
     # section's defaults, not the whole document taken as the section
     @pytest.mark.parametrize("command,spec", [("adapt", "spec.json"),
@@ -346,9 +368,44 @@ class TestSweepBenchWafer:
         assert "BrainScaleS-1" in out
         assert "events per second" in out
 
+    def test_bench_duration_overrides_config(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "model": {"name": "brunel", "params": {"n_total": 200}},
+            "simulation": {"duration": 100.0},
+        })
+        assert main(["bench", "--out-dir", str(tmp_path), "--config", cfg,
+                     "--duration", "300"]) == EXIT_OK
+        assert load_spikes_binary(tmp_path / "spikes.bin").duration == 300.0
+
+    def test_bench_zero_duration_is_not_the_default(self, tmp_path, capsys):
+        # 0 ms is simulated, not taken as unset; its analysis window is empty
+        code = main(["bench", "--out-dir", str(tmp_path), "--duration", "0"])
+        assert code == EXIT_VALIDATION
+        assert "empty analysis window" in capsys.readouterr().err
+        assert load_spikes_binary(tmp_path / "spikes.bin").duration == 0.0
+
     def test_wafer_report(self, tmp_path, capsys):
         code = main(["wafer", "report", "--out-dir", str(tmp_path)])
         assert code == EXIT_OK
         doc = json.loads((tmp_path / "wafer_report.json").read_text())
         assert doc["total_circuits"] == 196_608
         assert doc["max_fan_in"] == 14_336
+
+
+# each reference config, loaded as --config loads it, is the config of the
+# function it was written from; its seed comes from --seed
+@pytest.mark.parametrize("name,config", [
+    ("brunel_ai.json", scaled_brunel_config(topology={})),
+    ("microcircuit.json", scaled_microcircuit_config()),
+    ("brunel_sweep.json", scaled_brunel_config(duration=2000.0)),
+])
+def test_experiment_files_equal_their_configs(name, config):
+    loaded, sweep = cli._load_config(argparse.Namespace(
+        config=str(EXPERIMENTS / name), seed=0))
+    if name == "brunel_sweep.json":
+        config.analysis = {"window_start": 500.0}
+        # test_04's grid
+        assert sweep == SweepConfig(g=[2.0, 3.0, 4.0, 5.0, 6.0, 8.0],
+                                    eta=[0.5, 0.9, 1.0, 2.0, 4.0])
+    assert loaded == config
+    assert "seed" not in json.loads((EXPERIMENTS / name).read_text())

@@ -1,4 +1,6 @@
 import hashlib
+import json
+import struct
 import tracemalloc
 from unittest import mock
 
@@ -783,6 +785,49 @@ class TestSerialization:
                 f"{record.probes[i][k]:.6f}" for i in (3, 150)))
         path = save_membrane_csv(record, tmp_path / "m.csv")
         assert path.read_text() == "\n".join(lines) + "\n"
+
+    @staticmethod
+    def rewrite_header(raw, edit):
+        """``raw`` with its header replaced by ``edit(header)``."""
+        (hlen,) = struct.unpack("<I", raw[4:8])
+        header = json.loads(raw[8:8 + hlen])
+        edit(header)
+        new = json.dumps(header, sort_keys=True).encode()
+        return raw[:4] + struct.pack("<I", len(new)) + new + raw[8 + hlen:]
+
+    def test_header_without_wall_time(self, tmp_path):
+        raw = save_spikes_binary(self.make_record(), tmp_path / "s.bin"
+                                 ).read_bytes()
+        assert b"wall_time_s" not in raw
+        assert load_spikes_binary(tmp_path / "s.bin").wall_time == 0.0
+        # an older file carries the run's wall time in its header
+        old = tmp_path / "old.bin"
+        old.write_bytes(self.rewrite_header(
+            raw, lambda h: h.update(wall_time_s=1.25)))
+        assert load_spikes_binary(old).wall_time == 1.25
+
+    def test_header_missing_key_rejected(self, tmp_path):
+        raw = save_spikes_binary(self.make_record(membrane_probes=[3]),
+                                 tmp_path / "s.bin").read_bytes()
+        (hlen,) = struct.unpack("<I", raw[4:8])
+        # config_hash is written for readers of the file; no loader reads it
+        keys = set(json.loads(raw[8:8 + hlen])) - {"config_hash"}
+        assert len(keys) == 10
+        for key in sorted(keys):
+            bad = tmp_path / f"no_{key}.bin"
+            bad.write_bytes(self.rewrite_header(raw, lambda h: h.pop(key)))
+            with pytest.raises(WafersimError, match="corrupt spike record"):
+                load_spikes_binary(bad)
+
+    @pytest.mark.parametrize("ids", [[-1], [2 ** 32]])
+    def test_header_recorded_id_past_uint32_rejected(self, tmp_path, ids):
+        raw = save_spikes_binary(self.make_record(), tmp_path / "s.bin"
+                                 ).read_bytes()
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(self.rewrite_header(
+            raw, lambda h: h.update(recorded_neurons=ids)))
+        with pytest.raises(WafersimError, match="corrupt spike record"):
+            load_spikes_binary(bad)
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "junk.bin"

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from wafersim import mapping, network, pipeline
-from wafersim.engine import load_spikes_binary
+from wafersim.engine import SimulationConfig, load_spikes_binary
+from wafersim.models import BrunelParams, build_brunel
 from wafersim.network import WafersimError
 from wafersim.pipeline import (
     PipelineConfig,
@@ -14,6 +15,7 @@ from wafersim.pipeline import (
     phase_sweep,
     run_pipeline,
     run_sweep_cell,
+    simulate_stage,
 )
 
 
@@ -109,6 +111,19 @@ class TestDeterminism:
         ra = load_spikes_binary(a.artifacts["spikes_bin"])
         rb = load_spikes_binary(b.artifacts["spikes_bin"])
         assert np.array_equal(ra.times, rb.times)
+
+
+    def test_simulate_stage_files_identical(self, tmp_path):
+        spec = network.ensure_sampled(build_brunel(BrunelParams(n_total=200),
+                                                   seed=4))
+        for run in ("a", "b"):
+            (tmp_path / run).mkdir()
+            simulate_stage(spec, SimulationConfig(duration=200.0), tmp_path / run)
+        for name in ("spikes.bin", "spikes.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == \
+                (tmp_path / "b" / name).read_bytes(), name
+        throughput = json.loads((tmp_path / "a" / "throughput.json").read_text())
+        assert throughput["wall_time"] > 0
 
 
 class TestFailureModes:
