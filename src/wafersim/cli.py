@@ -20,11 +20,12 @@ from .hardware import (
     capacity_report,
 )
 from .mapping import MappingMismatchError, PlacementOverflowError
-from .network import WafersimError, ensure_sampled, from_fields, load_spec
+from .network import WafersimError, ensure_sampled, load_spec
 from .pipeline import (
     PipelineConfig,
     StageFailure,
     SweepConfig,
+    _read_config,
     adapt_stage,
     build_stage,
     map_stage,
@@ -46,12 +47,7 @@ def _load_config(args, **options) -> tuple[PipelineConfig, SweepConfig]:
     section.  The seed is the document's ``seed`` if it sets one and
     ``--seed`` otherwise.  ``options`` maps a section to the keys that
     command-line options set in it; an option that is ``None`` is unset."""
-    doc = json.loads(Path(args.config).read_text()) if args.config else {}
-    if not isinstance(doc, dict):
-        raise WafersimError(f"config {args.config} is not a JSON object")
-    sweep = from_fields(SweepConfig, doc.pop("sweep", {}), "sweep")
-    config = from_fields(PipelineConfig,
-                         {"model": {}, "seed": args.seed, **doc}, "config")
+    config, sweep = _read_config(args.config or {}, args.seed)
     for section, keys in options.items():
         setattr(config, section, {**getattr(config, section), **{
             k: v for k, v in keys.items() if v is not None}})

@@ -74,6 +74,7 @@ from .network import (
     StimulusKind,
     SynapseKind,
     WafersimError,
+    _typed,
     ensure_sampled,
     inhibitory_channel,
     json_digest,
@@ -293,12 +294,12 @@ class _Engine:
         ref = np.zeros(n, dtype=np.int64)  # refractory steps left
         deliveries = 0
 
-        record_mask = None
-        if cfg.record_populations is not None:
-            record_mask = np.zeros(n, dtype=bool)
-            for pid in cfg.record_populations:
-                o = self.offsets[pid]
-                record_mask[o:o + self.spec.population(pid).size] = True
+        slices = {p.pid: (self.offsets[p.pid], self.offsets[p.pid] + p.size)
+                  for p in self.spec.populations}
+        # the neurons that the finished record keeps; None keeps all
+        kept = None if cfg.record_populations is None else np.concatenate(
+            [np.arange(0)] + [np.arange(*slices[pid])
+                              for pid in cfg.record_populations])
 
         rngs = [stream("engine", cfg.seed, *key) for key, *_ in self.drives]
 
@@ -327,35 +328,23 @@ class _Engine:
                 self._raise_non_finite(t0, V, traces)
             if len(ids):
                 deliveries += _scatter(buf, r0 + steps, ids, self.edges, 2 * n)
-                steps += t0
-                if record_mask is not None:
-                    keep = record_mask[ids]
-                    steps, ids = steps[keep], ids[keep]
-                spikes.append(steps, ids)
+                spikes.append(steps + t0, ids)
             for pid in probes:
                 probes[pid][t0:t0 + L] = V[1:, pid]
         wall = _time.perf_counter() - wall_start
 
         steps, ids = spikes.steps[:spikes.n], spikes.ids[:spikes.n]
         order = np.lexsort((ids, steps))
-        times, ids = (steps[order] + 1) * self.dt, ids[order]
-        recorded = None
-        if record_mask is not None:
-            recorded = np.nonzero(record_mask)[0].astype(np.uint32)
-        slices = {}
-        for pop in self.spec.populations:
-            o = self.offsets[pop.pid]
-            slices[pop.pid] = (o, o + pop.size)
-        return SpikeRecord(
-            times=times, ids=ids, n_neurons=self.n,
-            duration=cfg.duration, dt=self.dt,
+        record = SpikeRecord(
+            times=(steps[order] + 1) * self.dt, ids=ids[order],
+            n_neurons=self.n, duration=cfg.duration, dt=self.dt,
             deliveries=deliveries, wall_time=wall,
             population_slices=slices, config=cfg.to_dict(),
-            recorded_neurons=recorded,
             probe_times=(np.arange(1, n_steps + 1) * self.dt
                          if cfg.membrane_probes else None),
             probes=probes,
         )
+        return record if kept is None else _restrict(record, kept)
 
     def _integrate(self, v0, ref, traces):
         """Membrane trajectory over one block, given the synaptic traces.
@@ -669,38 +658,34 @@ def readout_subset(record: SpikeRecord, n: int, seed: int,
         raise WafersimError("subset larger than recorded neuron count")
     rng = stream("readout", seed)
     if n == len(pool):
-        chosen = pool.copy()
+        chosen = pool
     elif mapping is None:
         chosen = rng.choice(pool, size=n, replace=False)
     else:
+        # one permutation per ASIC, in ASIC order; then the k-th pick of
+        # every ASIC, in ASIC order, before any (k+1)-th pick
         asics = mapping.placement.neuron_asic[pool]
-        per_asic: dict[int, list] = {}
-        for neuron, asic in zip(pool.tolist(), asics.tolist()):
-            per_asic.setdefault(asic, []).append(neuron)
-        queues = []
-        for asic in sorted(per_asic):
-            members = np.asarray(per_asic[asic])
-            queues.append(rng.permutation(members))
-        chosen_list: list[int] = []
-        depth = 0
-        while len(chosen_list) < n:
-            progressed = False
-            for q in queues:
-                if depth < len(q):
-                    chosen_list.append(int(q[depth]))
-                    progressed = True
-                    if len(chosen_list) == n:
-                        break
-            if not progressed:
-                break
-            depth += 1
-        chosen = np.asarray(chosen_list, dtype=np.uint32)
-    chosen = np.sort(np.asarray(chosen, dtype=np.uint32))
+        order = np.argsort(asics, kind="stable")
+        _, starts, counts = np.unique(asics[order], return_index=True,
+                                      return_counts=True)
+        members = pool[order]
+        picks = np.concatenate([rng.permutation(members[s:s + c])
+                                for s, c in zip(starts, counts)])
+        depth = np.arange(len(pool)) - np.repeat(starts, counts)
+        chosen = picks[np.argsort(depth, kind="stable")[:n]]
     if n == 0 and record.spike_count():
         warnings.warn("empty readout subset requested on a nonempty record")
-    keep = np.isin(record.ids, chosen)
+    return _restrict(record, chosen)
+
+
+def _restrict(record: SpikeRecord, neurons: np.ndarray) -> SpikeRecord:
+    """``record`` with only the spikes of the global ids ``neurons``, which
+    become its recorded neurons."""
+    mask = np.zeros(record.n_neurons, dtype=bool)
+    mask[neurons] = True
+    keep = mask[record.ids]
     return replace(record, times=record.times[keep], ids=record.ids[keep],
-                   recorded_neurons=chosen)
+                   recorded_neurons=np.flatnonzero(mask).astype(np.uint32))
 
 
 def biological_speedup(bio_duration_ms: float, wall_duration_s: float) -> float:
@@ -882,21 +867,29 @@ def load_spikes_binary(path: Union[str, Path]) -> SpikeRecord:
         raise WafersimError("not a spike record file")
     try:
         (hlen,) = struct.unpack("<I", raw[4:8])
-        header = json.loads(raw[8:8 + hlen].decode())
-        n_spikes, n_times = int(header["n_spikes"]), header["n_probe_times"]
-        probe_ids = [int(p) for p in header["probe_ids"]]
-        n_probe_values = (0 if n_times is None else int(n_times)) \
-            * (1 + len(probe_ids))
+        header = {"wall_time_s": 0.0, **json.loads(raw[8:8 + hlen].decode())}
+        for key, tp in {
+                "n_neurons": int, "duration_ms": float, "dt_ms": float,
+                "deliveries": int, "wall_time_s": float, "config": dict,
+                "population_slices": dict[str, list[int]],
+                "recorded_neurons": Optional[list[int]], "n_spikes": int,
+                "n_probe_times": Optional[int], "probe_ids": list[int]}.items():
+            _typed(tp, header[key], f"corrupt spike record header: {key}")
+        n_spikes, n_times = header["n_spikes"], header["n_probe_times"]
+        probe_ids = header["probe_ids"]
+        n_probe_values = (n_times or 0) * (1 + len(probe_ids))
         recorded = header["recorded_neurons"]
         fields = dict(
             n_neurons=header["n_neurons"], duration=header["duration_ms"],
             dt=header["dt_ms"], deliveries=header["deliveries"],
-            wall_time=header.get("wall_time_s", 0.0),
+            wall_time=header["wall_time_s"],
             population_slices={k: tuple(v) for k, v in
                                header["population_slices"].items()},
             config=header["config"],
             recorded_neurons=(None if recorded is None
                               else np.asarray(recorded, np.uint32)))
+        if recorded and max(recorded) >= header["n_neurons"]:
+            raise ValueError(f"recorded neuron {max(recorded)} >= n_neurons")
     except (struct.error, ValueError, KeyError, TypeError, AttributeError,
             OverflowError) as exc:
         raise WafersimError(f"corrupt spike record header: {exc!r}") from None

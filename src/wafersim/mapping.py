@@ -132,45 +132,34 @@ def route(spec: NetworkSpec, placement: Placement, topology: WaferTopology,
     offsets = spec.population_offsets()
     coords = topology.asic_coords()
     n_asics = len(placement.asic_used)
-    # demand per (src asic, tgt asic): total synapses, per projection
-    pair_proj_counts: dict[tuple[int, int], dict[str, int]] = {}
-    requested = {}
+    # demand per projection: its (src asic, tgt asic) keys and synapse counts
+    requested, demand = {}, {}
     for pr in spec.projections:
         e = spec.edges[pr.pid]
         requested[pr.pid] = len(e)
-        if not len(e):
-            continue
-        uniq, counts = np.unique(_asic_pairs(placement, offsets, pr, e),
-                                 return_counts=True)
-        for key, cnt in zip(uniq.tolist(), counts.tolist()):
-            pair = divmod(key, n_asics)
-            pair_proj_counts.setdefault(pair, {})[pr.pid] = cnt
-    inter_pairs = sorted(p for p in pair_proj_counts if p[0] != p[1])
-    edge_seen: dict = {}
-    utilization: dict = {}
+        demand[pr.pid] = np.unique(_asic_pairs(placement, offsets, pr, e),
+                                   return_counts=True)
+    # routed[key]: the pair's synapses are realized (intra-ASIC: always)
+    keys = np.unique(np.concatenate(
+        [np.empty(0, np.int64)] + [k for k, _ in demand.values()]))
+    routed = np.eye(n_asics, dtype=bool).ravel()
+    edge_seen, utilization = {}, {}
     admitted, lost_pairs = set(), set()
-    for pair in inter_pairs:
+    for key in keys[keys // n_asics != keys % n_asics].tolist():
+        pair = divmod(key, n_asics)
         path = _manhattan_path(coords[pair[0]], coords[pair[1]])
         ok = all(edge_seen.get(ge, 0) < topology.route_capacity for ge in path)
         for ge in path:
             edge_seen[ge] = edge_seen.get(ge, 0) + 1
         if ok:
             admitted.add(pair)
+            routed[key] = True
             for ge in path:
                 utilization[ge] = utilization.get(ge, 0) + 1
         else:
             lost_pairs.add(pair)
-    realized, lost = {}, {}
-    for pr in spec.projections:
-        realized[pr.pid] = 0
-        lost[pr.pid] = 0
-    for pair, per_proj in pair_proj_counts.items():
-        routed = pair[0] == pair[1] or pair in admitted
-        for pid, cnt in per_proj.items():
-            if routed:
-                realized[pid] += cnt
-            else:
-                lost[pid] += cnt
+    realized = {pid: int(c[routed[k]].sum()) for pid, (k, c) in demand.items()}
+    lost = {pid: int(c[~routed[k]].sum()) for pid, (k, c) in demand.items()}
     return MappingResult(
         placement=placement,
         requested=requested,
@@ -216,15 +205,12 @@ def apply_loss(spec: NetworkSpec, result: MappingResult,
     return out
 
 
-def mapping_report(result: MappingResult, topology: Optional[WaferTopology] = None
-                   ) -> dict:
+def mapping_report(result: MappingResult) -> dict:
     """Machine-readable report: per-ASIC neuron counts (shading data), cluster
     extents per population, lane utilization per grid edge, per-projection
     loss fractions.  No image rendering."""
-    neuron_counts = np.bincount(
-        result.placement.neuron_asic[result.placement.neuron_asic >= 0],
-        minlength=len(result.placement.asic_used),
-    )
+    neuron_counts = np.bincount(result.placement.neuron_asic,
+                                minlength=len(result.placement.asic_used))
     per_projection = {}
     for pid in result.requested:
         req = result.requested[pid]

@@ -40,17 +40,6 @@ def round_half_up(x: float) -> int:
 # --- balanced random network --------------------------------------------------
 
 
-def _default_brunel_neuron() -> NeuronParameters:
-    # Classical balanced-random-network constants: 20 mV threshold distance,
-    # tau_m 20 ms, 2 ms refractory; exponential synapses stand in for the
-    # original delta synapses with matched charge per spike.
-    return NeuronParameters(
-        tau_m=20.0, tau_ref=2.0, tau_syn_exc=0.5, tau_syn_inh=0.5,
-        v_rest=-70.0, v_reset=-60.0, v_thresh=-50.0,
-        e_rev_exc=0.0, e_rev_inh=-80.0, c_m=0.25, i_offset=0.0,
-    )
-
-
 @dataclass
 class BrunelParams:
     n_total: int = 12400
@@ -60,7 +49,8 @@ class BrunelParams:
     eta: float = 2.0  # nu_ext / nu_thres
     w_exc: float = 0.05  # nA peak; J = w*tau_syn/c_m = 0.1 mV per spike
     delay: float = 1.5  # ms
-    neuron: NeuronParameters = field(default_factory=_default_brunel_neuron)
+    # the defaults are the classical balanced-network constants
+    neuron: NeuronParameters = field(default_factory=NeuronParameters)
 
     def check(self) -> None:
         if self.g < 0 or self.eta < 0:
@@ -73,24 +63,23 @@ class BrunelParams:
             raise ValueError("w_exc must be > 0")
 
 
-def nu_thres(neuron: NeuronParameters, external_in_degree: int, w_ext: float,
-             tau_syn: Optional[float] = None) -> float:
+def nu_thres(neuron: NeuronParameters, external_in_degree: int,
+             w_ext: float) -> float:
     """External rate (Hz) at which mean input alone reaches threshold.
 
     For current-based exponential synapses the stationary mean deflection of
-    K_ext inputs at rate nu is R * K_ext * nu * w * tau_syn, giving
+    K_ext inputs at rate nu is R * K_ext * nu * w * tau_syn (the neuron's
+    tau_syn_exc), giving
     nu_thres = (v_thresh - v_rest) * c_m / (w * tau_syn * K_ext * tau_m).
     """
     if w_ext <= 0:
         raise UndefinedThresholdError("w_ext must be > 0")
     if external_in_degree == 0:
         raise UndefinedThresholdError("external in-degree must be nonzero")
-    if tau_syn is None:
-        tau_syn = neuron.tau_syn_exc
     theta = neuron.v_thresh - neuron.v_rest  # mV
     # [mV * nF / (nA * ms * ms)] -> 1/ms -> convert to Hz
     rate_per_ms = theta * neuron.c_m / (
-        w_ext * tau_syn * external_in_degree * neuron.tau_m
+        w_ext * neuron.tau_syn_exc * external_in_degree * neuron.tau_m
     )
     return rate_per_ms * 1000.0
 

@@ -527,21 +527,15 @@ def in_degree_array(spec: NetworkSpec, include_stimuli: bool = True) -> np.ndarr
         raise NotSampledError("in_degree_array requires sampled connectivity")
     offsets = spec.population_offsets()
     counts = np.zeros(spec.n_neurons(), dtype=np.int64)
-    for pr in spec.projections:
-        e = spec.edges[pr.pid]
-        if len(e):
-            o = offsets[pr.target]
-            counts[o:o + spec.population(pr.target).size] += np.bincount(
-                e.tgt, minlength=spec.population(pr.target).size
-            )
+    afferents = [(pr.target, spec.edges[pr.pid]) for pr in spec.projections]
     if include_stimuli:
-        for st in spec.stimuli:
-            e = spec.stim_edges.get(st.sid)
-            if e is not None and len(e):
-                o = offsets[st.target]
-                counts[o:o + spec.population(st.target).size] += np.bincount(
-                    e.tgt, minlength=spec.population(st.target).size
-                )
+        afferents += [(st.target, spec.stim_edges.get(st.sid))
+                      for st in spec.stimuli]
+    for target, e in afferents:
+        if e is not None and len(e):
+            size = spec.population(target).size
+            counts[offsets[target]:offsets[target] + size] += np.bincount(
+                e.tgt, minlength=size)
     return counts
 
 

@@ -309,7 +309,7 @@ def map_stage(spec: NetworkSpec, topology: WaferTopology, out_dir: Path
     artifacts["mapping"] = cache_path
     artifacts["mapping_report"] = out_dir / "mapping_report.json"
     artifacts["mapping_report"].write_text(
-        json.dumps(mapping_report(result, topology), indent=2))
+        json.dumps(mapping_report(result), indent=2))
     mapped = apply_loss(spec, result, spec_hash)
     artifacts["mapped_spec"] = save_spec(mapped, out_dir / "mapped.json")
     return mapped, result, cached, artifacts
@@ -341,10 +341,8 @@ def run_pipeline(config: Union[PipelineConfig, str, Path, dict],
                  out_dir: Union[str, Path]) -> PipelineResult:
     """Execute all stages, writing intermediate files; idempotent reruns
     reuse the cached mapping when structure and topology hashes match."""
-    if isinstance(config, (str, Path)):
-        config = json.loads(Path(config).read_text())
     if not isinstance(config, PipelineConfig):
-        config = from_fields(PipelineConfig, config, "config")
+        config = _read_config(config)[0]
     sections = config.sections()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -386,6 +384,20 @@ class SweepConfig:
     """The ``sweep`` section of a config document: the grid's axes."""
     g: list[float] = field(default_factory=lambda: [2, 3, 4, 5, 6, 8])
     eta: list[float] = field(default_factory=lambda: [0.5, 0.9, 1, 2, 4])
+
+
+def _read_config(doc: Union[str, Path, dict], seed: int = 0
+                 ) -> tuple[PipelineConfig, SweepConfig]:
+    """The pipeline config and the ``sweep`` section of a config document,
+    given as a dict or as the path of a JSON file.  A document that sets no
+    ``seed`` gets ``seed``, and one that names no model an empty ``model``."""
+    if isinstance(doc, (str, Path)):
+        doc = json.loads(Path(doc).read_text())
+    if not isinstance(doc, dict):
+        raise WafersimError(f"config is a {type(doc).__name__}, not an object")
+    doc = {"model": {}, "seed": seed, **doc}
+    sweep = from_fields(SweepConfig, doc.pop("sweep", {}), "sweep")
+    return from_fields(PipelineConfig, doc, "config"), sweep
 
 
 @dataclass

@@ -10,8 +10,9 @@ The connectivity oracle draws a FixedProbability projection as one dense
 (rows x targets) uniform matrix per chunk of rows and takes its 2-D nonzero
 positions, sharing only the random stream with ``wafersim.network``.
 The CSV oracles are the ``%``-formatting writers that the vectorised ones
-replaced.  The last helpers are small derived quantities that only tests
-use.
+replaced, and the readout oracle is the queue loop that the array form of
+``readout_subset`` replaced.  The last helpers are small derived
+quantities that only tests use.
 """
 
 import json
@@ -188,6 +189,21 @@ def save_membrane_csv(record, path):
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
     return path
+
+
+def stratified_readout(pool, neuron_asic, n, seed):
+    """The ``n`` neurons of ``pool`` that the stratified readout picks, by
+    queues: one permutation of each ASIC's neurons, in ASIC order, then
+    round-robin over the queues until ``n`` are picked."""
+    rng = stream("readout", seed)
+    per_asic = {}
+    for neuron in pool.tolist():
+        per_asic.setdefault(int(neuron_asic[neuron]), []).append(neuron)
+    queues = [rng.permutation(np.asarray(per_asic[a])) for a in sorted(per_asic)]
+    chosen = []
+    for depth in range(max(map(len, queues), default=0)):
+        chosen += [int(q[depth]) for q in queues if depth < len(q)]
+    return np.sort(np.asarray(chosen[:n], dtype=np.uint32))
 
 
 def is_hardware_ready(spec) -> bool:

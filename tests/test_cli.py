@@ -409,3 +409,18 @@ def test_experiment_files_equal_their_configs(name, config):
                                     eta=[0.5, 0.9, 1.0, 2.0, 4.0])
     assert loaded == config
     assert "seed" not in json.loads((EXPERIMENTS / name).read_text())
+
+
+def test_run_pipeline_ignores_sweep_as_bench_does(tmp_path, capsys):
+    doc = json.loads((EXPERIMENTS / "brunel_sweep.json").read_text())
+    doc["simulation"]["duration"] = 200.0
+    doc["analysis"]["window_start"] = 100.0
+    result = run_pipeline(doc, tmp_path / "pipeline")
+    assert result.record.spike_count() > 0
+    assert "sweep" in doc  # the caller's document is not changed
+    cfg = write_config(tmp_path, doc)
+    assert main(["bench", "--out-dir", str(tmp_path / "bench"),
+                 "--config", cfg]) == EXIT_OK
+    for name in ("spikes.bin", "analysis.json"):
+        assert (tmp_path / "pipeline" / name).read_bytes() == \
+            (tmp_path / "bench" / name).read_bytes(), name

@@ -2,6 +2,7 @@ import hashlib
 import json
 import struct
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -694,6 +695,32 @@ class TestRecordingOptions:
         assert len(np.unique(asics)) == min(30, len(np.unique(
             mapping.placement.neuron_asic)))
 
+    # ASICs of uneven size; a pool of all neurons or of every third one
+    @pytest.mark.filterwarnings("ignore:empty readout subset")
+    @pytest.mark.parametrize("step", [1, 3])
+    @pytest.mark.parametrize("n", [0, 30, 500, "all"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_readout_subset_stratified_matches_queue_oracle(self, step, n,
+                                                            seed):
+        rng = np.random.default_rng(seed)
+        neuron_asic = np.sort(rng.integers(0, 40, 2083))
+        pool = np.arange(0, 2083, step, dtype=np.uint32)
+        ids = rng.integers(0, 2083, 5000).astype(np.uint32)
+        record = SpikeRecord(
+            times=np.sort(rng.uniform(0.0, 100.0, 5000)), ids=ids,
+            n_neurons=2083, duration=100.0, dt=0.1, deliveries=0,
+            wall_time=0.0, population_slices={},
+            recorded_neurons=None if step == 1 else pool)
+        n = len(pool) if n == "all" else n
+        mapping = mock.Mock()
+        mapping.placement.neuron_asic = neuron_asic
+        sub = readout_subset(record, n, seed, mapping=mapping)
+        want = oracles.stratified_readout(pool, neuron_asic, n, seed)
+        assert np.array_equal(sub.recorded_neurons, want)
+        keep = np.isin(ids, want)
+        assert np.array_equal(sub.ids, ids[keep])
+        assert np.array_equal(sub.times, record.times[keep])
+
     def test_readout_too_large_errors(self):
         spec = ensure_sampled(build_brunel(BrunelParams(n_total=100), seed=4))
         record = simulate(spec, SimulationConfig(dt=0.1, duration=100.0))
@@ -819,6 +846,28 @@ class TestSerialization:
             with pytest.raises(WafersimError, match="corrupt spike record"):
                 load_spikes_binary(bad)
 
+    # one header field of the wrong type each: the loader checks types as
+    # configs are checked (a bool is never a number, an int is a float)
+    @pytest.mark.parametrize("field", [
+        {"n_neurons": "x"}, {"config": [1]}, {"duration_ms": "1"},
+        {"deliveries": 2.5}, {"population_slices": {"a": "xy"}}],
+        ids=lambda field: next(iter(field)))
+    def test_header_field_type_checked(self, tmp_path, field):
+        raw = save_spikes_binary(self.make_record(), tmp_path / "s.bin"
+                                 ).read_bytes()
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(self.rewrite_header(raw, lambda h: h.update(field)))
+        with pytest.raises(WafersimError):
+            load_spikes_binary(bad)
+
+    def test_header_with_empty_config_loads(self, tmp_path):
+        # a record built without a simulation config carries {}
+        record = replace(self.make_record(), config={})
+        again = load_spikes_binary(save_spikes_binary(record,
+                                                      tmp_path / "s.bin"))
+        assert again.config == {}
+        assert np.array_equal(again.ids, record.ids)
+
     @pytest.mark.parametrize("ids", [[-1], [2 ** 32]])
     def test_header_recorded_id_past_uint32_rejected(self, tmp_path, ids):
         raw = save_spikes_binary(self.make_record(), tmp_path / "s.bin"
@@ -826,6 +875,15 @@ class TestSerialization:
         bad = tmp_path / "bad.bin"
         bad.write_bytes(self.rewrite_header(
             raw, lambda h: h.update(recorded_neurons=ids)))
+        with pytest.raises(WafersimError, match="corrupt spike record"):
+            load_spikes_binary(bad)
+
+    def test_header_recorded_id_past_n_neurons_rejected(self, tmp_path):
+        record = self.make_record()
+        raw = save_spikes_binary(record, tmp_path / "s.bin").read_bytes()
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(self.rewrite_header(raw, lambda h: h.update(
+            recorded_neurons=[0, record.n_neurons])))
         with pytest.raises(WafersimError, match="corrupt spike record"):
             load_spikes_binary(bad)
 

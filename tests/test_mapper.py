@@ -132,6 +132,28 @@ class TestRouting:
                     result.requested[pid]
             assert result.total_requested() == spec.total_synapses()
 
+    def test_counts_follow_routed_pairs_edge_by_edge(self):
+        rng = stream("test", "edge_by_edge", 0)
+        checked = 0
+        while checked < 20:
+            spec, topo = random_spec(rng), small_topology(rng)
+            try:
+                result = map_network(spec, topo)
+            except PlacementOverflowError:
+                continue
+            asic = result.placement.neuron_asic
+            offsets = spec.population_offsets()
+            for pr in spec.projections:
+                e = spec.edges[pr.pid]
+                pairs = list(zip(asic[offsets[pr.source] + e.src].tolist(),
+                                 asic[offsets[pr.target] + e.tgt].tolist()))
+                assert result.realized[pr.pid] == sum(
+                    a == b or (a, b) in result.admitted_pairs for a, b in pairs)
+                assert result.lost[pr.pid] == sum(
+                    (a, b) in result.lost_pairs for a, b in pairs)
+            assert not result.admitted_pairs & result.lost_pairs
+            checked += 1
+
     def test_loss_monotone_in_capacity(self):
         rng = stream("test", "monotone", 0)
         checked = 0
@@ -220,7 +242,7 @@ class TestReportAndSerialization:
         spec = ensure_sampled(build_brunel(BrunelParams(n_total=600), seed=5))
         topo = WaferTopology(route_capacity=2)
         result = map_network(spec, topo)
-        report = mapping_report(result, topo)
+        report = mapping_report(result)
         assert report["total_requested"] == \
             report["total_realized"] + report["total_lost"]
         assert sum(report["per_asic_neuron_counts"]) == spec.n_neurons()

@@ -188,14 +188,13 @@ class TestSamplerAgainstDenseOracle:
                           sample_fixed_probability_dense(proj, sizes, seed=7))
 
 
-def mixed_spec(seed=3):
+def mixed_spec(seed=3, kind=SynapseKind.CURRENT_EXP):
     """Recurrent and feed-forward FixedProbability projections between
-    FixedInDegree and ExplicitList ones."""
+    FixedInDegree and ExplicitList ones, all of synapse ``kind``."""
     pops = [Population(name, size, NeuronParameters(), sign)
             for name, size, sign in (("e", 120, Sign.EXCITATORY),
                                      ("i", 45, Sign.INHIBITORY),
                                      ("d", 7, Sign.EXCITATORY))]
-    kind = SynapseKind.CURRENT_EXP
     projs = [
         Projection("d->e", "d", "e", ExplicitList(), 0.1, 1.0, kind),
         Projection("e->e", "e", "e", FixedProbability(0.1), 0.05, 1.5, kind),
@@ -355,6 +354,24 @@ class TestSerialization:
         again = load_spec(save_spec(spec, tmp_path / "net.json"))
         assert_edges_equal(again, spec)
         assert spec_content_hash(again) == spec_content_hash(spec)
+
+    @pytest.mark.parametrize("kind", list(SynapseKind))
+    def test_roundtrip_connectors_pool_stimulus_and_overrides(self, tmp_path,
+                                                              kind):
+        spec = ensure_sampled(mixed_spec(kind=kind))
+        rng = np.random.default_rng(4)
+        spec.edges["d->e"] = EdgeList.from_arrays(
+            rng.integers(0, 7, 30), rng.integers(0, 120, 30), 0.1, 1.0)
+        spec.stimuli.append(StimulusSpec(
+            "pool->e", "e", StimulusKind.POISSON_POOL, rate=8.0, weight=0.05,
+            delay=1.5, pool_size=40, samples_per_target=3, pool_group="ext"))
+        spec.stim_edges["pool->e"] = EdgeList.from_arrays(
+            rng.integers(0, 40, 360), np.repeat(np.arange(120), 3), 0.05, 1.5)
+        spec.populations[0].params_per_neuron["v_thresh"] = \
+            rng.uniform(-52.0, -48.0, 120)
+        again = load_spec(save_spec(spec, tmp_path / "net.json"))
+        assert spec_to_dict(again) == spec_to_dict(spec)
+        assert_edges_equal(again, spec)
 
     def test_binary_sidecar_used_for_large_edge_lists(self, tmp_path):
         spec = with_double_weights(ensure_sampled(
