@@ -274,7 +274,10 @@ def convert_current_to_conductance(spec: NetworkSpec,
     """Convert every current-based weight w to a conductance w/(E_rev - V)
     evaluated at the assumed mean membrane potential of the target.  A
     stimulus has no source population to carry an inhibitory sign in
-    conductance mode, so an inhibitory stimulus raises ``WafersimError``."""
+    conductance mode, so an inhibitory stimulus raises ``WafersimError``.
+    An ``assumed_mean_v`` key that names no population, or a mean V outside
+    (e_rev_inh, e_rev_exc), where a driving force is zero or changes sign,
+    raises ``SingularDrivingForceError``."""
     before = _counts(spec)
     out = copy_spec(spec)
     if out.synapse_kinds() - {SynapseKind.CURRENT_EXP}:
@@ -287,17 +290,21 @@ def convert_current_to_conductance(spec: NetworkSpec,
             f"stimulus cannot be converted to conductance")
     v_mean = {pop.pid: 0.5 * (pop.params.v_rest + pop.params.v_thresh)
               for pop in out.populations}
+    unknown = sorted(set(assumed_mean_v or {}) - set(v_mean))
+    if unknown:
+        raise SingularDrivingForceError(
+            f"assumed_mean_v names no population: {unknown}")
     v_mean.update(assumed_mean_v or {})
+    for pop in out.populations:
+        if not pop.params.e_rev_inh < v_mean[pop.pid] < pop.params.e_rev_exc:
+            raise SingularDrivingForceError(
+                f"assumed mean voltage of {pop.pid} lies outside "
+                f"(e_rev_inh, e_rev_exc): {v_mean[pop.pid]} mV")
 
     def driving_force(pop, inhibitory):
         v = v_mean[pop.pid]
-        df = np.where(inhibitory, pop.params.e_rev_inh - v,
-                      pop.params.e_rev_exc - v)
-        if np.any(np.abs(df) < 1e-9):
-            raise SingularDrivingForceError(
-                f"assumed mean voltage equals reversal potential for {pop.pid}"
-            )
-        return df
+        return np.where(inhibitory, pop.params.e_rev_inh - v,
+                        pop.params.e_rev_exc - v)
 
     factors = {
         pr.pid: 1.0 / float(driving_force(out.population(pr.target),

@@ -1,22 +1,24 @@
 """Compiler stage: place combined neurons onto ASICs and route projections
 under per-grid-edge lane capacities, accounting synapse loss.
 
-Routing granularity is a shared route per (source ASIC, target ASIC) pair;
-every pair follows a fixed X-then-Y Manhattan path and pairs are admitted in
-a fixed priority order: a pair is realized iff on every grid edge of its path
-fewer than ``route_capacity`` pairs of equal or higher priority use that edge.
-This admission rule is provably monotone in route_capacity (greedy shortest
-path search with lane filtering is not, which breaks the loss-monotonicity
-contract).  Loss is all-or-nothing per (source ASIC, target ASIC, projection)
-group.  Paths may pass over ASICs that are masked out for placement; only
-placement is restricted by the availability mask.
+Routing granularity is a shared route per (source ASIC, target ASIC) pair,
+keyed ``source * n_asics + target``, along a fixed X-then-Y Manhattan path.
+The grid edge from (r, c) to (r, c+1) has the id ``2*(r*cols + c)``, the
+one to (r+1, c) that id plus 1.  A pair's rank on an edge is the number of
+pairs of smaller key whose path uses it, and a pair is realized iff every
+rank on its path is below ``route_capacity``, so a rejected pair still
+counts against its path.  Ranks do not depend on capacity, so loss is
+monotone in it (greedy shortest path search with lane filtering is not).
+Loss is all-or-nothing per (source ASIC, target ASIC, projection) group.
+Paths may pass over ASICs that are masked out for placement; only placement
+is restricted by the availability mask.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
@@ -49,9 +51,6 @@ class Placement:
     asic_used: np.ndarray  # used circuits per ASIC
     population_asics: dict[str, list[int]]  # cluster extents per population
 
-    def n_neurons(self) -> int:
-        return len(self.neuron_asic)
-
 
 @dataclass
 class MappingResult:
@@ -59,8 +58,8 @@ class MappingResult:
     requested: dict[str, int]  # projection id -> requested synapse count
     realized: dict[str, int]
     lost: dict[str, int]
-    admitted_pairs: set  # (src ASIC, tgt ASIC) pairs with a routed lane path
-    lost_pairs: set
+    admitted_pairs: np.ndarray  # sorted keys of the routed inter-ASIC pairs
+    lost_pairs: np.ndarray  # sorted keys of the rejected ones
     lane_utilization: dict  # grid edge ((r,c),(r,c)) -> lanes used
     spec_hash: str
     topology_hash: str
@@ -97,24 +96,6 @@ def place(spec: NetworkSpec, topology: WaferTopology) -> Placement:
                      {pid: list(asics) for pid, asics in pop_asics.items()})
 
 
-def _manhattan_path(a: tuple[int, int], b: tuple[int, int]
-                    ) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """Grid edges of the X-then-Y (column-first) path from a to b."""
-    (r0, c0), (r1, c1) = a, b
-    edges = []
-    step = 1 if c1 > c0 else -1
-    for c in range(c0, c1, step):
-        edges.append(_norm_edge((r0, c), (r0, c + step)))
-    step = 1 if r1 > r0 else -1
-    for r in range(r0, r1, step):
-        edges.append(_norm_edge((r, c1), (r + step, c1)))
-    return edges
-
-
-def _norm_edge(u, v):
-    return (u, v) if u <= v else (v, u)
-
-
 def _asic_pairs(placement: Placement, offsets: dict[str, int], pr, e
                 ) -> np.ndarray:
     """The (source ASIC, target ASIC) pair of each edge ``e`` of projection
@@ -130,8 +111,7 @@ def route(spec: NetworkSpec, placement: Placement, topology: WaferTopology,
     ``spec_hash`` is ``mapping_relevant_hash(spec)`` if the caller has it."""
     ensure_sampled(spec)
     offsets = spec.population_offsets()
-    coords = topology.asic_coords()
-    n_asics = len(placement.asic_used)
+    n_asics, cols = len(placement.asic_used), topology.cols
     # demand per projection: its (src asic, tgt asic) keys and synapse counts
     requested, demand = {}, {}
     for pr in spec.projections:
@@ -139,25 +119,34 @@ def route(spec: NetworkSpec, placement: Placement, topology: WaferTopology,
         requested[pr.pid] = len(e)
         demand[pr.pid] = np.unique(_asic_pairs(placement, offsets, pr, e),
                                    return_counts=True)
-    # routed[key]: the pair's synapses are realized (intra-ASIC: always)
     keys = np.unique(np.concatenate(
         [np.empty(0, np.int64)] + [k for k, _ in demand.values()]))
+    keys = keys[keys // n_asics != keys % n_asics]  # inter-ASIC, key order
+    # (pair index, edge id) of each grid edge on the paths: all row runs
+    # (even ids) in pair order, then all column runs (odd ids), so that each
+    # edge lists its pairs in key order
+    rc = np.array(topology.asic_coords(), dtype=np.int64).reshape(-1, 2)
+    (r0, c0), (r1, c1) = rc[keys // n_asics].T, rc[keys % n_asics].T
+    start = np.concatenate([2 * (r0 * cols + np.minimum(c0, c1)),
+                            2 * (np.minimum(r0, r1) * cols + c1) + 1])
+    length = np.concatenate([np.abs(c1 - c0), np.abs(r1 - r0)])
+    run = np.repeat(np.arange(2 * len(keys)), length)
+    step = np.arange(len(run)) - np.repeat(np.cumsum(length) - length, length)
+    edge = start[run] + np.where(run < len(keys), 2, 2 * cols) * step
+    pair = np.tile(np.arange(len(keys)), 2)[run]
+    # a pair's rank on an edge: the earlier pairs on it (the sort is stable)
+    order = np.argsort(edge, kind="stable")
+    by_edge = edge[order]
+    rank = np.arange(len(order)) - np.searchsorted(by_edge, by_edge)
+    admitted = np.ones(len(keys), dtype=bool)
+    admitted[pair[order[rank >= topology.route_capacity]]] = False
+    # routed[key]: the pair's synapses are realized (intra-ASIC: always)
     routed = np.eye(n_asics, dtype=bool).ravel()
-    edge_seen, utilization = {}, {}
-    admitted, lost_pairs = set(), set()
-    for key in keys[keys // n_asics != keys % n_asics].tolist():
-        pair = divmod(key, n_asics)
-        path = _manhattan_path(coords[pair[0]], coords[pair[1]])
-        ok = all(edge_seen.get(ge, 0) < topology.route_capacity for ge in path)
-        for ge in path:
-            edge_seen[ge] = edge_seen.get(ge, 0) + 1
-        if ok:
-            admitted.add(pair)
-            routed[key] = True
-            for ge in path:
-                utilization[ge] = utilization.get(ge, 0) + 1
-        else:
-            lost_pairs.add(pair)
+    routed[keys[admitted]] = True
+    lanes = np.bincount(edge[admitted[pair]],
+                        minlength=2 * topology.rows * cols)
+    used = np.flatnonzero(lanes)  # edge id 2*(r*cols + c) + down
+    row, col = np.divmod(used // 2, cols)
     realized = {pid: int(c[routed[k]].sum()) for pid, (k, c) in demand.items()}
     lost = {pid: int(c[~routed[k]].sum()) for pid, (k, c) in demand.items()}
     return MappingResult(
@@ -165,9 +154,11 @@ def route(spec: NetworkSpec, placement: Placement, topology: WaferTopology,
         requested=requested,
         realized=realized,
         lost=lost,
-        admitted_pairs=admitted,
-        lost_pairs=lost_pairs,
-        lane_utilization=utilization,
+        admitted_pairs=keys[admitted],
+        lost_pairs=keys[~admitted],
+        lane_utilization={((r, c), (r + d, c + 1 - d)): n for r, c, d, n in zip(
+            row.tolist(), col.tolist(), (used % 2).tolist(),
+            lanes[used].tolist())},
         spec_hash=spec_hash or mapping_relevant_hash(spec),
         topology_hash=topology.content_hash(),
     )
@@ -189,12 +180,12 @@ def apply_loss(spec: NetworkSpec, result: MappingResult,
     if result.spec_hash != (spec_hash or mapping_relevant_hash(spec)):
         raise MappingMismatchError("mapping result was computed for a different spec")
     out = copy_spec(spec)
-    if not result.lost_pairs:
+    if not len(result.lost_pairs):
         return out
     offsets = out.population_offsets()
     n_asics = len(result.placement.asic_used)
     lost = np.zeros(n_asics * n_asics, dtype=bool)  # by _asic_pairs key
-    lost[[a * n_asics + b for a, b in result.lost_pairs]] = True
+    lost[result.lost_pairs] = True
     for pr in out.projections:
         e = out.edges[pr.pid]
         if not len(e) or result.lost[pr.pid] == 0:
@@ -243,8 +234,22 @@ def mapping_report(result: MappingResult) -> dict:
 # --- serialization ------------------------------------------------------------
 
 
+def _pair_keys(pairs, n_asics: int) -> np.ndarray:
+    """The sorted pair keys of a list of ``[source ASIC, target ASIC]``
+    lists; anything else raises ``ValueError``."""
+    if not isinstance(pairs, list) or not all(
+            isinstance(p, list) and len(p) == 2
+            and all(type(a) is int and 0 <= a < n_asics for a in p)
+            for p in pairs):
+        raise ValueError(f"ASIC pairs must be [a, b] lists of ints in "
+                         f"[0, {n_asics})")
+    a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return np.sort(a * n_asics + b)
+
+
 def save_mapping(result: MappingResult, path: Union[str, Path]) -> Path:
     path = Path(path)
+    n = len(result.placement.asic_used)
     doc = {
         "placement": {
             "neuron_asic": result.placement.neuron_asic.tolist(),
@@ -255,8 +260,9 @@ def save_mapping(result: MappingResult, path: Union[str, Path]) -> Path:
         "requested": result.requested,
         "realized": result.realized,
         "lost": result.lost,
-        "admitted_pairs": sorted(map(list, result.admitted_pairs)),
-        "lost_pairs": sorted(map(list, result.lost_pairs)),
+        # a pair key as its [source ASIC, target ASIC] list
+        "admitted_pairs": [divmod(k, n) for k in result.admitted_pairs.tolist()],
+        "lost_pairs": [divmod(k, n) for k in result.lost_pairs.tolist()],
         "lane_utilization": [
             [list(u), list(v), n] for (u, v), n in sorted(result.lane_utilization.items())
         ],
@@ -276,9 +282,10 @@ def save_mapping(result: MappingResult, path: Union[str, Path]) -> Path:
 
 def load_mapping(path: Union[str, Path]) -> MappingResult:
     """Read a mapping written by ``save_mapping``; a file that is not valid
-    JSON or lacks a field raises ``WafersimError`` (a missing or unreadable
-    file raises ``OSError``).  Keys it does not read, such as the ``seed``
-    that older entries hold, are ignored."""
+    JSON, lacks a field or holds a pair that is not two ASIC indices raises
+    ``WafersimError`` (a missing or unreadable file raises ``OSError``).
+    Keys it does not read, such as the ``seed`` that older entries hold, are
+    ignored."""
     try:
         doc = json.loads(Path(path).read_text())
         pl = doc["placement"]
@@ -288,13 +295,14 @@ def load_mapping(path: Union[str, Path]) -> MappingResult:
             asic_used=np.asarray(pl["asic_used"], dtype=np.int64),
             population_asics=pl["population_asics"],
         )
+        n_asics = len(placement.asic_used)
         return MappingResult(
             placement=placement,
             requested=doc["requested"],
             realized=doc["realized"],
             lost=doc["lost"],
-            admitted_pairs={tuple(p) for p in doc["admitted_pairs"]},
-            lost_pairs={tuple(p) for p in doc["lost_pairs"]},
+            admitted_pairs=_pair_keys(doc["admitted_pairs"], n_asics),
+            lost_pairs=_pair_keys(doc["lost_pairs"], n_asics),
             lane_utilization={
                 (tuple(u), tuple(v)): n for u, v, n in doc["lane_utilization"]
             },

@@ -202,9 +202,6 @@ class EdgeList:
             rec[name] = getattr(self, name)
         return rec
 
-    def to_bytes(self) -> bytes:
-        return self._records().tobytes()
-
     @classmethod
     def from_bytes(cls, buf) -> "EdgeList":
         """The edges of a buffer of ``EDGE_DTYPE`` records."""
@@ -771,14 +768,3 @@ def json_digest(doc) -> str:
     return hashlib.blake2b(json.dumps(doc, sort_keys=True).encode(),
                            digest_size=16).hexdigest()
 
-
-def spec_content_hash(spec: NetworkSpec) -> str:
-    """Stable content hash over the full spec including explicit edges."""
-    h = hashlib.blake2b(digest_size=16)
-    doc = spec_to_dict(spec)
-    h.update(json.dumps(doc, sort_keys=True).encode())
-    for section in (spec.edges, spec.stim_edges):
-        for key in sorted(section):
-            h.update(key.encode())
-            h.update(section[key].to_bytes())
-    return h.hexdigest()

@@ -23,9 +23,3 @@ def psp_shape_factor(tau_m: float, tau_syn: float) -> float:
     # peak time t* = ln(tau_m/tau_syn) * tau_m*tau_syn/(tau_m - tau_syn)
     return a * (r ** a - r ** (a + 1.0))
 
-
-def psp_peak_current(weight: float, tau_m: float, tau_syn: float, c_m: float) -> float:
-    """Peak membrane deflection (mV) for one spike through a current-based
-    exponential synapse of peak amplitude ``weight`` (nA)."""
-    r_m = tau_m / c_m  # MOhm
-    return r_m * weight * psp_shape_factor(tau_m, tau_syn)

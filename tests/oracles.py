@@ -10,11 +10,13 @@ The connectivity oracle draws a FixedProbability projection as one dense
 (rows x targets) uniform matrix per chunk of rows and takes its 2-D nonzero
 positions, sharing only the random stream with ``wafersim.network``.
 The CSV oracles are the ``%``-formatting writers that the vectorised ones
-replaced, and the readout oracle is the queue loop that the array form of
-``readout_subset`` replaced.  The last helpers are small derived
-quantities that only tests use.
+replaced, the readout oracle is the queue loop that the array form of
+``readout_subset`` replaced, and the routing oracle is the pair-by-pair
+admission loop that the array form of ``mapping.route`` replaced.  The last
+helpers are small derived quantities and digests that only tests use.
 """
 
+import hashlib
 import json
 import math
 
@@ -22,8 +24,8 @@ import numpy as np
 
 from wafersim.engine import _record_header
 from wafersim.models import load_microcircuit_data
-from wafersim.network import EdgeList, SynapseKind
-from wafersim.psp import psp_peak_current
+from wafersim.network import EdgeList, SynapseKind, spec_to_dict
+from wafersim.psp import psp_shape_factor
 from wafersim.rngtools import stream
 
 
@@ -135,6 +137,49 @@ def next_fit_placement(fan_ins, population_sizes, fanin_per_circuit,
     return circuits, neuron_asic, used, per_population
 
 
+def _manhattan_path(a, b):
+    """Grid edges of the X-then-Y (column-first) path from cell a to b, each
+    as its (lower, higher) pair of cells."""
+    (r0, c0), (r1, c1) = a, b
+    edges = []
+    step = 1 if c1 > c0 else -1
+    for c in range(c0, c1, step):
+        edges.append(tuple(sorted([(r0, c), (r0, c + step)])))
+    step = 1 if r1 > r0 else -1
+    for r in range(r0, r1, step):
+        edges.append(tuple(sorted([(r, c1), (r + step, c1)])))
+    return edges
+
+
+def sequential_route(spec, neuron_asic, coords, capacity):
+    """(admitted pairs, lost pairs, lanes used per grid edge) when the
+    inter-ASIC (source ASIC, target ASIC) pairs of ``spec``'s edges are
+    taken one by one in sorted order: a pair is admitted iff fewer than
+    ``capacity`` earlier pairs use each grid edge of its X-then-Y path, and
+    each pair, admitted or not, then counts against its path.  ``coords``
+    holds the grid cell of each ASIC."""
+    offsets = spec.population_offsets()
+    pairs = set()
+    for pr in spec.projections:
+        e = spec.edges[pr.pid]
+        pairs.update(zip(neuron_asic[offsets[pr.source] + e.src].tolist(),
+                         neuron_asic[offsets[pr.target] + e.tgt].tolist()))
+    edge_seen, utilization = {}, {}
+    admitted, lost = set(), set()
+    for pair in sorted(p for p in pairs if p[0] != p[1]):
+        path = _manhattan_path(coords[pair[0]], coords[pair[1]])
+        ok = all(edge_seen.get(ge, 0) < capacity for ge in path)
+        for ge in path:
+            edge_seen[ge] = edge_seen.get(ge, 0) + 1
+        if ok:
+            admitted.add(pair)
+            for ge in path:
+                utilization[ge] = utilization.get(ge, 0) + 1
+        else:
+            lost.add(pair)
+    return admitted, lost, utilization
+
+
 _ROW_CHUNK = 4_000_000  # pair draws per chunk, bounds memory during sampling
 
 
@@ -222,3 +267,27 @@ def psp_peak_conductance_linear(weight, e_rev, v_hold, tau_m, tau_syn, c_m):
     """Linearized peak deflection (mV) for a conductance synapse of peak
     ``weight`` (uS) with the driving force frozen at ``v_hold``."""
     return psp_peak_current(weight * (e_rev - v_hold), tau_m, tau_syn, c_m)
+
+
+def psp_peak_current(weight: float, tau_m: float, tau_syn: float, c_m: float) -> float:
+    """Peak membrane deflection (mV) for one spike through a current-based
+    exponential synapse of peak amplitude ``weight`` (nA)."""
+    r_m = tau_m / c_m  # MOhm
+    return r_m * weight * psp_shape_factor(tau_m, tau_syn)
+
+
+def edge_bytes(e: EdgeList) -> bytes:
+    """The edges of ``e`` as a buffer of ``EDGE_DTYPE`` records."""
+    return e._records().tobytes()
+
+
+def spec_content_hash(spec) -> str:
+    """Stable content hash over the full spec including explicit edges."""
+    h = hashlib.blake2b(digest_size=16)
+    doc = spec_to_dict(spec)
+    h.update(json.dumps(doc, sort_keys=True).encode())
+    for section in (spec.edges, spec.stim_edges):
+        for key in sorted(section):
+            h.update(key.encode())
+            h.update(edge_bytes(section[key]))
+    return h.hexdigest()

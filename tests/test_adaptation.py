@@ -11,6 +11,8 @@ from oracles import (
     dense_psp_peak_current,
     is_hardware_ready,
     psp_peak_conductance_linear,
+    psp_peak_current,
+    spec_content_hash,
 )
 from wafersim.adaptation import (
     AdaptationConfig,
@@ -42,12 +44,8 @@ from wafersim.network import (
     copy_spec,
     ensure_sampled,
     in_degree_array,
-    spec_content_hash,
 )
-from wafersim.psp import (
-    psp_peak_current,
-    psp_shape_factor,
-)
+from wafersim.psp import psp_shape_factor
 
 
 def small_brunel(n=400, seed=0, **kw):
@@ -230,6 +228,21 @@ class TestConductanceConversion:
         with pytest.raises(SingularDrivingForceError):
             convert_current_to_conductance(
                 spec, assumed_mean_v={"exc": v_mean, "inh": v_mean})
+
+    # just below e_rev_inh the inh->exc driving force changes sign, just
+    # above e_rev_exc the exc->exc one does
+    @pytest.mark.parametrize("side", ["e_rev_inh", "e_rev_exc"])
+    def test_mean_v_outside_reversal_range(self, side):
+        spec = ensure_sampled(small_brunel(n=300))
+        v_mean = getattr(spec.population("exc").params, side)
+        v_mean += -15.0 if side == "e_rev_inh" else 15.0
+        with pytest.raises(SingularDrivingForceError, match="exc"):
+            convert_current_to_conductance(spec, assumed_mean_v={"exc": v_mean})
+
+    def test_unknown_mean_v_key(self):
+        spec = ensure_sampled(small_brunel(n=300))
+        with pytest.raises(SingularDrivingForceError, match="nope"):
+            convert_current_to_conductance(spec, assumed_mean_v={"nope": -65})
 
     def test_inhibitory_stimulus_raises(self):
         # in conductance mode a stimulus arrives on the excitatory channel,

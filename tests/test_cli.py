@@ -124,6 +124,17 @@ class TestStageCommands:
                      "--out-dir", str(built), "--config", topo])
         assert code == EXIT_CAPACITY
 
+    def test_unknown_record_population_exit_2(self, built, capsys):
+        cfg = write_config(built, {"simulation": {
+            "duration": 10.0, "record_populations": ["nope"]}},
+            name="record.json")
+        code = main(["simulate", str(built / "spec.json"),
+                     "--out-dir", str(built), "--config", cfg])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "record_populations" in err and "nope" in err
+        assert not (built / "spikes.bin").exists()
+
     def test_missing_file_exit_2(self, tmp_path):
         code = main(["simulate", str(tmp_path / "missing.json"),
                      "--out-dir", str(tmp_path)])

@@ -12,7 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import dense_psp_peak_conductance, lif_constant_current_rate
+from oracles import (
+    dense_psp_peak_conductance,
+    lif_constant_current_rate,
+    psp_peak_current,
+)
 from wafersim import engine
 from wafersim.adaptation import (
     convert_current_to_conductance,
@@ -51,7 +55,6 @@ from wafersim.network import (
     WafersimError,
     ensure_sampled,
 )
-from wafersim.psp import psp_peak_current
 from wafersim.rngtools import stream
 
 
@@ -669,6 +672,13 @@ class TestRecordingOptions:
             simulate(spec, SimulationConfig(duration=10.0,
                                             membrane_probes=[probe]))
 
+    def test_unknown_record_population_rejected(self):
+        spec = ensure_sampled(build_brunel(BrunelParams(n_total=300), seed=4))
+        with pytest.raises(WafersimError,
+                           match=r"record_populations \['nope'\]"):
+            simulate(spec, SimulationConfig(
+                duration=10.0, record_populations=["inh", "nope"]))
+
     def test_probe_limit(self):
         spec = ensure_sampled(build_brunel(BrunelParams(n_total=300), seed=4))
         with pytest.raises(ValueError):
@@ -886,6 +896,20 @@ class TestSerialization:
             recorded_neurons=[0, record.n_neurons])))
         with pytest.raises(WafersimError, match="corrupt spike record"):
             load_spikes_binary(bad)
+
+    def test_payload_id_past_n_neurons_rejected(self, tmp_path):
+        record = self.make_record()
+        top = int(record.ids.max())
+        raw = save_spikes_binary(record, tmp_path / "s.bin").read_bytes()
+        for n_neurons, ok in ((top + 1, True), (top, False)):
+            path = tmp_path / f"n{n_neurons}.bin"
+            path.write_bytes(self.rewrite_header(
+                raw, lambda h: h.update(n_neurons=n_neurons)))
+            if ok:
+                assert load_spikes_binary(path).n_neurons == top + 1
+            else:
+                with pytest.raises(WafersimError, match="n_neurons"):
+                    load_spikes_binary(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "junk.bin"

@@ -1,9 +1,11 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from oracles import next_fit_placement
+from oracles import next_fit_placement, sequential_route, spec_content_hash
+from wafersim.adaptation import adapt_pipeline
 from wafersim.hardware import WaferTopology
 from wafersim.mapping import (
     MappingMismatchError,
@@ -28,7 +30,11 @@ from wafersim.network import (
     WafersimError,
     ensure_sampled,
     in_degree_array,
-    spec_content_hash,
+)
+from wafersim.pipeline import (
+    build_model,
+    scaled_brunel_config,
+    scaled_microcircuit_config,
 )
 from wafersim.rngtools import stream
 
@@ -142,16 +148,19 @@ class TestRouting:
             except PlacementOverflowError:
                 continue
             asic = result.placement.neuron_asic
+            n_asics = len(result.placement.asic_used)
             offsets = spec.population_offsets()
             for pr in spec.projections:
                 e = spec.edges[pr.pid]
-                pairs = list(zip(asic[offsets[pr.source] + e.src].tolist(),
-                                 asic[offsets[pr.target] + e.tgt].tolist()))
-                assert result.realized[pr.pid] == sum(
-                    a == b or (a, b) in result.admitted_pairs for a, b in pairs)
-                assert result.lost[pr.pid] == sum(
-                    (a, b) in result.lost_pairs for a, b in pairs)
-            assert not result.admitted_pairs & result.lost_pairs
+                a = asic[offsets[pr.source] + e.src]
+                b = asic[offsets[pr.target] + e.tgt]
+                keys = a * n_asics + b
+                assert result.realized[pr.pid] == np.sum(
+                    (a == b) | np.isin(keys, result.admitted_pairs))
+                assert result.lost[pr.pid] == np.sum(
+                    np.isin(keys, result.lost_pairs))
+            assert not np.intersect1d(result.admitted_pairs,
+                                      result.lost_pairs).size
             checked += 1
 
     def test_loss_monotone_in_capacity(self):
@@ -172,6 +181,51 @@ class TestRouting:
                 continue
             assert losses == sorted(losses, reverse=True)
             checked += 1
+
+    def test_lost_pairs_shrink_with_capacity(self):
+        rng = stream("test", "lost_subset", 0)
+        checked = shrunk = 0
+        while checked < 30:
+            spec, topo = random_spec(rng), small_topology(rng, capacity=0)
+            try:
+                placement = place(spec, topo)
+            except PlacementOverflowError:
+                continue
+            lost = [route(spec, placement, WaferTopology(**{
+                **topo.to_dict(), "route_capacity": cap})).lost_pairs
+                for cap in (0, 1, 2, 4, 8, 16)]
+            for small, large in zip(lost, lost[1:]):
+                assert np.isin(large, small).all()
+                shrunk += len(large) < len(small)
+            checked += 1
+        assert shrunk >= 10
+
+    def test_matches_sequential_oracle(self):
+        rng = stream("test", "sequential_route", 0)
+        checked = masked = 0
+        while checked < 40:
+            spec, topo = random_spec(rng), small_topology(rng)
+            if rng.random() < 0.5:
+                topo = WaferTopology(**{
+                    **topo.to_dict(),
+                    "available": rng.random((topo.rows, topo.cols)) < 0.7})
+            try:
+                placement = place(spec, topo)
+            except PlacementOverflowError:
+                continue
+            result = route(spec, placement, topo)
+            admitted, lost, lanes = sequential_route(
+                spec, placement.neuron_asic, topo.asic_coords(),
+                topo.route_capacity)
+            n = topo.n_asics
+            for keys, pairs in ((result.admitted_pairs, admitted),
+                                (result.lost_pairs, lost)):
+                assert keys.dtype == np.int64
+                assert keys.tolist() == sorted(a * n + b for a, b in pairs)
+            assert result.lane_utilization == lanes
+            masked += not topo.available.all()
+            checked += 1
+        assert masked >= 10
 
     def test_single_asic_zero_loss(self):
         spec = random_spec(stream("test", "single", 1))
@@ -195,7 +249,7 @@ class TestRouting:
         a = map_network(spec, topo)
         b = map_network(spec, topo)
         assert a.realized == b.realized and a.lost == b.lost
-        assert a.admitted_pairs == b.admitted_pairs
+        assert np.array_equal(a.admitted_pairs, b.admitted_pairs)
         assert np.array_equal(a.placement.neuron_asic, b.placement.neuron_asic)
 
     def test_lane_utilization_within_capacity(self):
@@ -255,7 +309,9 @@ class TestReportAndSerialization:
         path = save_mapping(result, tmp_path / "m.json")
         again = load_mapping(path)
         assert again.realized == result.realized
-        assert again.lost_pairs == result.lost_pairs
+        assert np.array_equal(again.lost_pairs, result.lost_pairs)
+        assert np.array_equal(again.admitted_pairs, result.admitted_pairs)
+        assert again.lane_utilization == result.lane_utilization
         assert again.spec_hash == result.spec_hash
         assert np.array_equal(again.placement.neuron_asic,
                               result.placement.neuron_asic)
@@ -274,7 +330,7 @@ class TestReportAndSerialization:
         path.write_text(json.dumps(doc, sort_keys=True))
         again = load_mapping(path)
         assert again.realized == result.realized and again.lost == result.lost
-        assert again.lost_pairs == result.lost_pairs
+        assert np.array_equal(again.lost_pairs, result.lost_pairs)
         assert np.array_equal(again.placement.neuron_asic,
                               result.placement.neuron_asic)
         assert save_mapping(again, tmp_path / "again.json").read_text() == \
@@ -288,3 +344,55 @@ class TestReportAndSerialization:
         path.write_text(path.read_text()[:100])
         with pytest.raises(WafersimError, match="corrupt mapping"):
             load_mapping(path)
+
+    @pytest.mark.parametrize("entry", [[999, 0], ["a", 0], [1], [1.5, 0]])
+    def test_bad_pair_entry_raises_wafersim_error(self, tmp_path, entry):
+        spec = ensure_sampled(build_brunel(BrunelParams(n_total=600), seed=5))
+        path = save_mapping(map_network(spec, WaferTopology(route_capacity=2)),
+                            tmp_path / "m.json")
+        doc = json.loads(path.read_text())
+        doc["lost_pairs"].append(entry)
+        path.write_text(json.dumps(doc, sort_keys=True))
+        with pytest.raises(WafersimError, match="corrupt mapping"):
+            load_mapping(path)
+
+
+# sha256 of the save_mapping bytes and of the mapping_report JSON, as
+# map_stage writes it, of the adapted reference networks at seed 0
+PINNED_MAPPINGS = {
+    ("brunel", 320): (
+        "507b7404df454f6306f2bab4871db0e0fc29e7e65908e8966074648a105388da",
+        "7f5435a3ca8216570f1075354c9e9ebcf4bcb5df1ae192165b82738577602748"),
+    ("brunel", 40): (
+        "aaee2464d66019c1b026adc81b8704808b230c775f054d4406d4bea2661414fb",
+        "aab5897199b374c57e5b51c29e97e34400f16d1de74b2d754453773099b3d628"),
+    ("microcircuit", 320): (
+        "64bf24989e3b4f333fa02810e76ffe032e6e725adf9e22640d5ed0ce43e6ff4d",
+        "c0bd79545d16531438a0facd392c45e8c9bcb5c1e8ba4e3f64a9b6cbafe47a94"),
+    ("microcircuit", 40): (
+        "43531a86d22262bbcd2cb89c49e67c50148a54da81aa9fd667608573b260d25a",
+        "abf7d1bed839271b973101155c9bc62876b74801a5182c8da5da310c7bb1dfd8"),
+}
+
+
+@pytest.fixture(scope="module")
+def reference_specs():
+    specs = {}
+    for name, config in (("brunel", scaled_brunel_config(seed=0)),
+                         ("microcircuit", scaled_microcircuit_config(seed=0))):
+        sections = config.sections()
+        spec, _ = adapt_pipeline(build_model(sections.model, config.seed),
+                                 sections.adaptation)
+        specs[name] = ensure_sampled(spec)
+    return specs
+
+
+@pytest.mark.parametrize("name,capacity", sorted(PINNED_MAPPINGS))
+def test_pinned_reference_mappings(tmp_path, reference_specs, name, capacity):
+    result = map_network(reference_specs[name],
+                         WaferTopology(route_capacity=capacity))
+    saved = save_mapping(result, tmp_path / "m.json").read_bytes()
+    report = json.dumps(mapping_report(result), indent=2).encode()
+    assert (hashlib.sha256(saved).hexdigest(),
+            hashlib.sha256(report).hexdigest()) == \
+        PINNED_MAPPINGS[name, capacity]

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import microcircuit_scale_for_total
+from oracles import microcircuit_scale_for_total, spec_content_hash
 from wafersim.models import (
     BrunelParams,
     MicrocircuitParams,
@@ -17,7 +17,6 @@ from wafersim.models import (
 from wafersim.network import (
     NeuronParameters,
     ensure_sampled,
-    spec_content_hash,
     validate_network,
 )
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import sample_fixed_probability_dense
+from oracles import edge_bytes, sample_fixed_probability_dense, spec_content_hash
 from wafersim import network
 from wafersim.models import BrunelParams, build_brunel
 from wafersim.network import (
@@ -31,7 +31,6 @@ from wafersim.network import (
     mapping_relevant_hash,
     sample_connectivity,
     save_spec,
-    spec_content_hash,
     spec_from_dict,
     spec_to_dict,
     inhibitory_channel,
@@ -472,7 +471,7 @@ class TestSerialization:
         e = EdgeList.from_arrays(
             np.array([1, 2, 3], np.uint32), np.array([4, 5, 6], np.uint32),
             np.array([0.1, -0.2, 0.3]), np.array([1.0, 1.5, 2.0]))
-        again = EdgeList.from_bytes(e.to_bytes())
+        again = EdgeList.from_bytes(edge_bytes(e))
         assert_edges_equal(NetworkSpec([], [], edges={"e": again}),
                            NetworkSpec([], [], edges={"e": e}))
 

@@ -6,6 +6,7 @@ import pytest
 
 from wafersim import mapping, network, pipeline
 from wafersim.engine import SimulationConfig, load_spikes_binary
+from wafersim.hardware import WaferTopology
 from wafersim.models import BrunelParams, build_brunel
 from wafersim.network import WafersimError
 from wafersim.pipeline import (
@@ -76,6 +77,21 @@ class TestMappingCache:
         assert run_pipeline(small_config(), tmp_path).mapping_cached
         # overwritten in place, no temp file left behind
         assert [p.name for p in tmp_path.glob("mapping_*_*")] == [cache.name]
+
+    def test_bad_pair_entry_is_a_miss(self, tmp_path):
+        spec = network.ensure_sampled(
+            build_brunel(BrunelParams(n_total=400), seed=3))
+        topology = WaferTopology(route_capacity=0)
+        _, first, cached, paths = pipeline.map_stage(spec, topology, tmp_path)
+        assert not cached and first.total_lost() > 0
+        written = paths["mapping"].read_text()
+        doc = json.loads(written)
+        doc["lost_pairs"].append([999, 0])
+        paths["mapping"].write_text(json.dumps(doc, sort_keys=True))
+        _, again, cached, _ = pipeline.map_stage(spec, topology, tmp_path)
+        assert not cached
+        assert paths["mapping"].read_text() == written
+        assert again.lost == first.lost
 
     def test_structure_hashed_once_per_map_stage(self, tmp_path, monkeypatch):
         """The cache key, the mapping's ``spec_hash`` and ``apply_loss``'s
