@@ -179,6 +179,12 @@ class _Engine:
         if bad:
             raise WafersimError(f"record_populations {bad} are not "
                                 f"populations of the network {pids}")
+        for p in spec.populations:
+            for name, values in p.params_per_neuron.items():
+                if len(values) != p.size:
+                    raise WafersimError(
+                        f"population {p.pid}: params_per_neuron[{name!r}] "
+                        f"holds {len(values)} values for {p.size} neurons")
         kinds = spec.synapse_kinds()
         if len(kinds) > 1:
             raise WafersimError("mixed synapse kinds are not supported")
@@ -875,8 +881,9 @@ def load_spikes_binary(path: Union[str, Path]) -> SpikeRecord:
         header = {"wall_time_s": 0.0, **json.loads(raw[8:8 + hlen].decode())}
         for key, tp in {
                 "n_neurons": int, "duration_ms": float, "dt_ms": float,
-                "deliveries": int, "wall_time_s": float, "config": dict,
-                "population_slices": dict[str, list[int]],
+                "deliveries": int, "wall_time_s": float,
+                "config": SimulationConfig,
+                "population_slices": dict[str, tuple[int, int]],
                 "recorded_neurons": Optional[list[int]], "n_spikes": int,
                 "n_probe_times": Optional[int], "probe_ids": list[int]}.items():
             _typed(tp, header[key], f"corrupt spike record header: {key}")
@@ -895,6 +902,11 @@ def load_spikes_binary(path: Union[str, Path]) -> SpikeRecord:
                               else np.asarray(recorded, np.uint32)))
         if recorded and max(recorded) >= header["n_neurons"]:
             raise ValueError(f"recorded neuron {max(recorded)} >= n_neurons")
+        bad = {k: v for k, v in fields["population_slices"].items()
+               if not 0 <= v[0] <= v[1] <= header["n_neurons"]}
+        if bad:
+            raise ValueError(f"population slices {bad} are not [a, b] with "
+                             f"0 <= a <= b <= n_neurons")
     except (struct.error, ValueError, KeyError, TypeError, AttributeError,
             OverflowError) as exc:
         raise WafersimError(f"corrupt spike record header: {exc!r}") from None

@@ -36,6 +36,7 @@ from .network import (
     copy_spec,
     ensure_sampled,
     in_degree_array,
+    _typed,
     mapping_relevant_hash,
 )
 
@@ -234,16 +235,33 @@ def mapping_report(result: MappingResult) -> dict:
 # --- serialization ------------------------------------------------------------
 
 
-def _pair_keys(pairs, n_asics: int) -> np.ndarray:
-    """The sorted pair keys of a list of ``[source ASIC, target ASIC]``
-    lists; anything else raises ``ValueError``."""
-    if not isinstance(pairs, list) or not all(
-            isinstance(p, list) and len(p) == 2
-            and all(type(a) is int and 0 <= a < n_asics for a in p)
-            for p in pairs):
-        raise ValueError(f"ASIC pairs must be [a, b] lists of ints in "
-                         f"[0, {n_asics})")
-    a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+# the annotation of each field of a mapping file and of its placement
+_FIELDS = {
+    "requested": dict[str, int], "realized": dict[str, int],
+    "lost": dict[str, int], "admitted_pairs": list[tuple[int, int]],
+    "lost_pairs": list[tuple[int, int]],
+    "lane_utilization": list[tuple[tuple[int, int], tuple[int, int], int]],
+    "spec_hash": str, "topology_hash": str,
+}
+_PLACEMENT_FIELDS = {
+    "neuron_asic": list[int], "neuron_circuits": list[int],
+    "asic_used": list[int], "population_asics": dict[str, list[int]],
+}
+
+
+def _asics(values, n_asics: int, what: str) -> np.ndarray:
+    """``values`` as an int64 array; an entry outside ``[0, n_asics)``
+    raises ``WafersimError``."""
+    a = np.array(values, np.int64)
+    if a.size and not 0 <= a.min() <= a.max() < n_asics:
+        raise WafersimError(f"{what} holds an ASIC index outside "
+                            f"[0, {n_asics})")
+    return a
+
+
+def _pair_keys(pairs, n_asics: int, what: str) -> np.ndarray:
+    """The sorted keys of ``[source ASIC, target ASIC]`` pairs."""
+    a, b = _asics(pairs, n_asics, what).reshape(-1, 2).T
     return np.sort(a * n_asics + b)
 
 
@@ -281,33 +299,31 @@ def save_mapping(result: MappingResult, path: Union[str, Path]) -> Path:
 
 
 def load_mapping(path: Union[str, Path]) -> MappingResult:
-    """Read a mapping written by ``save_mapping``; a file that is not valid
-    JSON, lacks a field or holds a pair that is not two ASIC indices raises
-    ``WafersimError`` (a missing or unreadable file raises ``OSError``).
-    Keys it does not read, such as the ``seed`` that older entries hold, are
-    ignored."""
+    """Read a mapping written by ``save_mapping``.  A file that is not valid
+    JSON, lacks a field, holds a value of the wrong type or an ASIC index
+    outside the wafer raises ``WafersimError`` (a missing or unreadable file
+    raises ``OSError``).  Keys it does not read, such as the ``seed`` that
+    older entries hold, are ignored."""
+    what = f"corrupt mapping file {path}:"
     try:
         doc = json.loads(Path(path).read_text())
-        pl = doc["placement"]
-        placement = Placement(
-            neuron_asic=np.asarray(pl["neuron_asic"], dtype=np.int64),
-            neuron_circuits=np.asarray(pl["neuron_circuits"], dtype=np.int64),
-            asic_used=np.asarray(pl["asic_used"], dtype=np.int64),
-            population_asics=pl["population_asics"],
-        )
-        n_asics = len(placement.asic_used)
+        pl = {k: _typed(tp, doc["placement"][k], f"{what} placement.{k}")
+              for k, tp in _PLACEMENT_FIELDS.items()}
+        f = {k: _typed(tp, doc[k], f"{what} {k}") for k, tp in _FIELDS.items()}
+        n_asics = len(pl["asic_used"])
         return MappingResult(
-            placement=placement,
-            requested=doc["requested"],
-            realized=doc["realized"],
-            lost=doc["lost"],
-            admitted_pairs=_pair_keys(doc["admitted_pairs"], n_asics),
-            lost_pairs=_pair_keys(doc["lost_pairs"], n_asics),
-            lane_utilization={
-                (tuple(u), tuple(v)): n for u, v, n in doc["lane_utilization"]
-            },
-            spec_hash=doc["spec_hash"],
-            topology_hash=doc["topology_hash"],
-        )
-    except (ValueError, KeyError, TypeError) as exc:
-        raise WafersimError(f"corrupt mapping file {path}: {exc!r}") from None
+            placement=Placement(
+                neuron_asic=_asics(pl["neuron_asic"], n_asics,
+                                   f"{what} placement.neuron_asic"),
+                neuron_circuits=np.array(pl["neuron_circuits"], np.int64),
+                asic_used=np.array(pl["asic_used"], np.int64),
+                population_asics=pl["population_asics"]),
+            admitted_pairs=_pair_keys(f.pop("admitted_pairs"), n_asics,
+                                      f"{what} admitted_pairs"),
+            lost_pairs=_pair_keys(f.pop("lost_pairs"), n_asics,
+                                  f"{what} lost_pairs"),
+            lane_utilization={(u, v): n
+                              for u, v, n in f.pop("lane_utilization")},
+            **f)
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        raise WafersimError(f"{what} {exc!r}") from None

@@ -107,6 +107,9 @@ class ExplicitList:
 
 
 Connector = Union[FixedProbability, FixedInDegree, ExplicitList]
+# a connector's "type" in a spec document
+_CONNECTORS = {"fixed_probability": FixedProbability,
+               "fixed_in_degree": FixedInDegree, "explicit_list": ExplicitList}
 
 
 @dataclass
@@ -306,9 +309,11 @@ def validate_network(spec: NetworkSpec) -> ValidationReport:
     satisfies all invariants.
     """
     findings: list[str] = []
-    pids = [p.pid for p in spec.populations]
-    if len(set(pids)) != len(pids):
-        findings.append("duplicate population ids")
+    for what, ids in (("population", [p.pid for p in spec.populations]),
+                      ("projection", [pr.pid for pr in spec.projections]),
+                      ("stimulus", [st.sid for st in spec.stimuli])):
+        if len(set(ids)) != len(ids):
+            findings.append(f"duplicate {what} ids")
     conductance = SynapseKind.CONDUCTANCE_EXP in spec.synapse_kinds()
     for pop in spec.populations:
         if pop.size < 1:
@@ -544,47 +549,79 @@ _FLOAT32_SIDECAR_MAGIC = b"WSED"
 
 
 def from_fields(cls, doc: dict, what: str):
-    """``cls(**doc)`` for the dataclass ``cls``.  An unknown or missing key,
-    or a value that its field's annotation does not admit, raises
-    ``WafersimError`` naming the key.  Values are checked, not converted:
-    an ``int`` passes for a ``float`` and a ``bool`` never for a number; a
-    dict for a dataclass field is built by ``from_fields`` in turn."""
+    """``cls(**doc)`` for the dataclass ``cls``, each value built by
+    ``_typed`` from its field's annotation.  An unknown or missing key, or a
+    value that the annotation does not admit, raises ``WafersimError``
+    naming the key."""
     if not isinstance(doc, dict):
         raise WafersimError(f"{what} must be an object, got {doc!r}")
     known = {f.name: f for f in fields(cls)}
     unknown = set(doc) - known.keys()
     if unknown:
-        raise WafersimError(f"unknown {what} fields: {sorted(unknown)}")
+        raise WafersimError(f"{what}: unknown fields {sorted(unknown)}")
     missing = [k for k, f in known.items() if k not in doc and
                f.default is MISSING and f.default_factory is MISSING]
     if missing:
-        raise WafersimError(f"missing {what} fields: {missing}")
+        raise WafersimError(f"{what}: missing fields {missing}")
     hints = get_type_hints(cls)
     return cls(**{k: _typed(hints[k], v, f"{what}.{k}")
                   for k, v in doc.items()})
 
 
-# what an annotation admits: any integer for int, any real for float
-_ADMITS = {int: numbers.Integral, float: numbers.Real}
+# what an annotation admits: any integer for int, any real for float, a
+# list (as JSON holds it) for a tuple
+_ADMITS = {int: numbers.Integral, float: numbers.Real, tuple: (list, tuple)}
+# the exact types of the scalars that an annotation admits as JSON gives them
+_JSON_SCALARS = {int: {int}, float: {int, float}, str: {str}}
 
 
 def _typed(tp, value, what: str):
-    """``value`` if the annotation ``tp`` admits it (for a dataclass
-    annotation, the dataclass built from it); else ``WafersimError``."""
+    """``value`` as the annotation ``tp`` admits it, else ``WafersimError``
+    naming ``what``.  Values are checked, not converted: an ``int`` passes
+    for a ``float`` and a ``bool`` never for a number.  Built from ``value``
+    are: a dataclass from a dict (by ``from_fields``), a ``Connector`` from
+    the dict ``spec_to_dict`` writes, a str enum member from its value, a
+    float64 array from a list of reals for ``np.ndarray``, a tuple from a
+    list of its length, and the items of ``list[T]`` and ``dict[K, T]``."""
+    if type(value) in _JSON_SCALARS.get(tp, ()):  # the common case, first
+        return value
+    if tp is Connector:  # {"type": <a key of _CONNECTORS>, **its fields}
+        value = dict(_typed(dict, value, what))
+        kind = value.pop("type", None)
+        if not isinstance(kind, str) or kind not in _CONNECTORS:
+            raise WafersimError(f"{what}.type must be one of "
+                                f"{sorted(_CONNECTORS)}, got {kind!r}")
+        return from_fields(_CONNECTORS[kind], value, what)
     if get_origin(tp) is Union:  # Optional[T]
         if value is None:
             return None
         tp = next(a for a in get_args(tp) if a is not type(None))
+    if isinstance(tp, type) and issubclass(tp, Enum):  # by its value
+        members = {m.value: m for m in tp}
+        if not isinstance(value, str) or value not in members:
+            raise WafersimError(f"{what} must be one of {sorted(members)}, "
+                                f"got {value!r}")
+        return members[value]
+    if tp is np.ndarray and isinstance(value, list):
+        return np.asarray(_typed(list[float], value, what), np.float64)
     if is_dataclass(tp) and isinstance(value, dict):
         return from_fields(tp, value, what)
     origin, args = get_origin(tp) or tp, get_args(tp)
     if isinstance(value, (bool, np.bool_)) and origin is not bool or \
-            not isinstance(value, _ADMITS.get(origin, origin)):
+            not isinstance(value, _ADMITS.get(origin, origin)) or \
+            origin is tuple and len(value) != len(args):
         raise WafersimError(f"{what} must be {getattr(tp, '__name__', tp)}, "
                             f"got {value!r}")
-    if args and origin in (list, dict):  # the items of list[T], dict[K, T]
-        for k, v in enumerate(value) if origin is list else value.items():
-            _typed(args[-1], v, f"{what}[{k!r}]")
+    if origin is tuple:
+        return tuple(_typed(a, v, f"{what}[{i}]")
+                     for i, (a, v) in enumerate(zip(args, value)))
+    if args and origin is list:
+        if set(map(type, value)) <= _JSON_SCALARS.get(args[0], set()):
+            return value  # at C speed: a mapping holds a list per neuron
+        return [_typed(args[0], v, f"{what}[{i}]") for i, v in enumerate(value)]
+    if args and origin is dict:
+        return {k: _typed(args[1], v, f"{what}[{k!r}]")
+                for k, v in value.items()}
     return value
 
 
@@ -593,8 +630,13 @@ def _rebuild(what: str) -> WafersimError:
                          f"rebuild it with this version")
 
 
+# the stimulus fields of the format that kept the leak shift in stimuli
+_LEAK_SHIFT_FIELDS = {"delta_v", "delta_i"}
+
+
 def spec_to_dict(spec: NetworkSpec) -> dict:
     """The structure of ``spec``: everything but its edge lists."""
+    types = {cls: kind for kind, cls in _CONNECTORS.items()}
     return {
         "seed": spec.seed,
         "populations": [
@@ -604,7 +646,8 @@ def spec_to_dict(spec: NetworkSpec) -> dict:
             for p in spec.populations
         ],
         "projections": [
-            {**vars(pr), "connector": _connector_to_dict(pr.connector),
+            {**vars(pr), "connector": {"type": types[type(pr.connector)],
+                                       **vars(pr.connector)},
              "kind": pr.kind.value}
             for pr in spec.projections
         ],
@@ -615,65 +658,19 @@ def spec_to_dict(spec: NetworkSpec) -> dict:
     }
 
 
-def _connector_to_dict(c: Connector) -> dict:
-    if isinstance(c, FixedProbability):
-        return {"type": "fixed_probability", "p": c.p}
-    if isinstance(c, FixedInDegree):
-        return {"type": "fixed_in_degree", "k": c.k}
-    return {"type": "explicit_list"}
-
-
-def _connector_from_dict(d: dict) -> Connector:
-    if d["type"] == "fixed_probability":
-        return FixedProbability(d["p"])
-    if d["type"] == "fixed_in_degree":
-        return FixedInDegree(d["k"])
-    return ExplicitList()
-
-
-def spec_from_dict(doc: dict) -> NetworkSpec:
-    """The spec whose structure ``spec_to_dict`` wrote, without edge lists.
-    A document with inline edge lists or with stimulus fields this version
-    does not know is in an older format and raises ``WafersimError``."""
-    inline = sorted({"edges", "stim_edges"} & set(doc))
-    if inline:
-        raise _rebuild(f"inline edge lists {inline}")
-    pops = [
-        Population(
-            pid=p["pid"],
-            size=p["size"],
-            params=NeuronParameters(**p["params"]),
-            sign=Sign(p["sign"]),
-            params_per_neuron={
-                k: np.asarray(v, np.float64)
-                for k, v in p.get("params_per_neuron", {}).items()
-            },
-        )
-        for p in doc["populations"]
-    ]
-    projs = [
-        Projection(
-            pid=pr["pid"],
-            source=pr["source"],
-            target=pr["target"],
-            connector=_connector_from_dict(pr["connector"]),
-            weight=pr["weight"],
-            delay=pr["delay"],
-            kind=SynapseKind(pr["kind"]),
-        )
-        for pr in doc["projections"]
-    ]
-    stims = []
-    stim_fields = {f.name for f in fields(StimulusSpec)}
-    for st in doc.get("stimuli", []):
-        stale = sorted(set(st) - stim_fields)
-        if stale:
-            raise _rebuild(f"stimulus fields {stale}")
-        st = dict(st)
-        st["kind"] = StimulusKind(st["kind"])
-        stims.append(StimulusSpec(**st))
-    return NetworkSpec(populations=pops, projections=projs, stimuli=stims,
-                       seed=doc.get("seed", 0))
+def spec_from_dict(doc: dict, what: str = "spec") -> NetworkSpec:
+    """The spec whose structure ``spec_to_dict`` wrote, without edge lists,
+    built by ``from_fields``: a missing or unknown field, or a value that
+    its annotation does not admit, raises ``WafersimError`` naming its path
+    under ``what``.  A document with inline edge lists or with leak-shift
+    stimulus fields is in an older format and raises ``WafersimError``."""
+    doc = _typed(dict, doc, what)
+    stimuli = _typed(list[dict], doc.get("stimuli", []), f"{what}.stimuli")
+    old = sorted({"edges", "stim_edges"} & doc.keys()) + \
+        sorted(_LEAK_SHIFT_FIELDS & set().union(*stimuli))
+    if old:
+        raise _rebuild(f"fields {old}")
+    return from_fields(NetworkSpec, doc, what)
 
 
 def save_spec(spec: NetworkSpec, path: Union[str, Path]) -> Path:
@@ -709,7 +706,9 @@ def load_spec(path: Union[str, Path]) -> NetworkSpec:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-        spec = spec_from_dict(doc)
+        spec = spec_from_dict(
+            {k: v for k, v in doc.items() if k != "edge_sidecar"},
+            f"corrupt network spec {path}: spec")
         sc = doc["edge_sidecar"]
         # one entry at a time into its own records: a whole-file buffer
         # would add the sidecar's size to the peak memory of every load

@@ -135,6 +135,27 @@ class TestStageCommands:
         assert "record_populations" in err and "nope" in err
         assert not (built / "spikes.bin").exists()
 
+    def test_per_neuron_override_length_exit_2(self, built, capsys):
+        path = built / "spec.json"
+        doc = json.loads(path.read_text())
+        pop = doc["populations"][0]
+        pop["params_per_neuron"] = {"v_thresh": [-50.0] * (pop["size"] - 1)}
+        path.write_text(json.dumps(doc))
+        code = main(["simulate", str(path), "--duration", "10",
+                     "--out-dir", str(built)])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert pop["pid"] in err and "params_per_neuron['v_thresh']" in err
+
+    def test_mistyped_spec_field_exit_2(self, built, capsys):
+        path = built / "spec.json"
+        doc = json.loads(path.read_text())
+        doc["projections"][0]["connector"]["type"] = "fixed_probabilty"
+        path.write_text(json.dumps(doc))
+        code = main(["adapt", str(path), "--out-dir", str(built)])
+        assert code == EXIT_VALIDATION
+        assert "connector.type" in capsys.readouterr().err
+
     def test_missing_file_exit_2(self, tmp_path):
         code = main(["simulate", str(tmp_path / "missing.json"),
                      "--out-dir", str(tmp_path)])

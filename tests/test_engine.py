@@ -679,6 +679,16 @@ class TestRecordingOptions:
             simulate(spec, SimulationConfig(
                 duration=10.0, record_populations=["inh", "nope"]))
 
+    @pytest.mark.parametrize("length", [49, 51])
+    def test_per_neuron_override_length_rejected(self, length):
+        spec = ensure_sampled(build_brunel(BrunelParams(n_total=300), seed=4))
+        n = spec.population("exc").size
+        spec.population("exc").params_per_neuron["v_thresh"] = \
+            np.full(n - 50 + length, -50.0)
+        with pytest.raises(WafersimError,
+                           match=r"population exc: params_per_neuron\['v_thresh'\]"):
+            simulate(spec, SimulationConfig(duration=10.0))
+
     def test_probe_limit(self):
         spec = ensure_sampled(build_brunel(BrunelParams(n_total=300), seed=4))
         with pytest.raises(ValueError):
@@ -868,6 +878,24 @@ class TestSerialization:
         bad = tmp_path / "bad.bin"
         bad.write_bytes(self.rewrite_header(raw, lambda h: h.update(field)))
         with pytest.raises(WafersimError):
+            load_spikes_binary(bad)
+
+    # the config is typed as a SimulationConfig, and each population slice
+    # is an [a, b] pair inside the record
+    @pytest.mark.parametrize("field", [
+        {"config": {"dt": 0.1, "nope": 1}}, {"config": {"dt": "x"}},
+        {"population_slices": {"exc": [0, 10 ** 6]}},
+        {"population_slices": {"exc": [5, 2]}},
+        {"population_slices": {"exc": [0, 1, 2]}},
+        {"population_slices": {"exc": [-1, 2]}}],
+        ids=["config_unknown_key", "config_dt_string", "slice_past_n",
+             "slice_reversed", "slice_triple", "slice_negative"])
+    def test_header_config_and_slices_checked(self, tmp_path, field):
+        raw = save_spikes_binary(self.make_record(), tmp_path / "s.bin"
+                                 ).read_bytes()
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(self.rewrite_header(raw, lambda h: h.update(field)))
+        with pytest.raises(WafersimError, match="corrupt spike record"):
             load_spikes_binary(bad)
 
     def test_header_with_empty_config_loads(self, tmp_path):

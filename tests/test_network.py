@@ -1,3 +1,4 @@
+import copy
 import json
 import sys
 
@@ -490,3 +491,117 @@ class TestHashes:
         a = ensure_sampled(two_pop_spec(seed=7))
         b = ensure_sampled(two_pop_spec(seed=8))
         assert mapping_relevant_hash(a) != mapping_relevant_hash(b)
+
+
+# One field of a built spec.json edited each; every edit loaded before the
+# spec was read through from_fields.  (path in the document, new value, the
+# field that the error names)
+SPEC_PROBES = {
+    "connector_type_typo": (("projections", 0, "connector", "type"),
+                            "fixed_probabilty", "connector.type"),
+    "float_seed": (("seed",), 1.5, "spec.seed"),
+    "unknown_population_field": (("populations", 0, "colour"), "red",
+                                 "colour"),
+    "string_weight": (("projections", 0, "weight"), "0.1", "weight"),
+    "string_size": (("populations", 0, "size"), "50", "size"),
+    "string_tau_m": (("populations", 0, "params", "tau_m"), "20",
+                     "params.tau_m"),
+    "string_p": (("projections", 0, "connector", "p"), "0.1", "connector.p"),
+    "string_rate": (("stimuli", 0, "rate"), "1000", "rate"),
+}
+
+
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+class TestTypedSpecReader:
+    @pytest.mark.parametrize("probe", sorted(SPEC_PROBES))
+    def test_one_field_edit_refused(self, tmp_path, probe):
+        path, value, field = SPEC_PROBES[probe]
+        spec_path = save_spec(two_pop_spec(), tmp_path / "spec.json")
+        doc = json.loads(spec_path.read_text())
+        _set(doc, path, value)
+        spec_path.write_text(json.dumps(doc))
+        with pytest.raises(WafersimError, match="corrupt network spec") as err:
+            load_spec(spec_path)
+        assert field in str(err.value)
+
+    @pytest.mark.parametrize("section,what", [("projections", "projection"),
+                                              ("stimuli", "stimulus")])
+    def test_duplicate_ids_fail_validation(self, section, what):
+        spec = two_pop_spec()
+        items = getattr(spec, section)
+        items.append(copy.deepcopy(items[0]))
+        assert validate_network(spec).findings == [f"duplicate {what} ids"]
+
+
+def spec_documents():
+    """Specs with every connector kind, either synapse kind, pooled stimuli
+    in a group and per-neuron overrides, as spec_to_dict writes them."""
+    connectors = st.one_of(
+        st.floats(0.0, 1.0).map(FixedProbability),
+        st.integers(0, 5).map(FixedInDegree), st.just(ExplicitList()))
+
+    @st.composite
+    def build(draw):
+        spec = two_pop_spec(n_exc=10, n_inh=5, seed=draw(st.integers(0, 9)))
+        kind = draw(st.sampled_from(list(SynapseKind)))
+        for pr in spec.projections:
+            pr.connector, pr.kind = draw(connectors), kind
+        spec.stimuli += [
+            StimulusSpec(f"pool{i}", "inh", StimulusKind.POISSON_POOL,
+                         rate=draw(st.floats(0.0, 1e4)), weight=0.01,
+                         pool_size=4, samples_per_target=2, pool_group="g")
+            for i in range(draw(st.integers(0, 2)))]
+        exc = spec.population("exc")
+        if draw(st.booleans()):
+            exc.params_per_neuron["v_thresh"] = np.array(draw(st.lists(
+                st.floats(-60.0, -40.0), min_size=10, max_size=10)))
+        return spec_to_dict(spec)
+    return build()
+
+
+def _leaves(doc, path=()):
+    """(path, value) of every scalar leaf of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for k, v in items:
+        if isinstance(v, (dict, list)):
+            yield from _leaves(v, path + (k,))
+        else:
+            yield path + (k,), v
+
+
+def _path_text(path):
+    """``path`` as the reader's messages write it."""
+    text = "spec"
+    for parent, k in zip((None,) + path, path):
+        text += f"[{k}]" if isinstance(k, int) else \
+            f"[{k!r}]" if parent == "params_per_neuron" else f".{k}"
+    return text
+
+
+ENUM_LEAVES = {"sign", "kind", "type"}
+
+
+class TestSpecDocuments:
+    @settings(max_examples=30, deadline=None)
+    @given(spec_documents())
+    def test_round_trip_writes_back_equal(self, doc):
+        assert spec_to_dict(spec_from_dict(doc)) == doc
+
+    @settings(max_examples=10, deadline=None)
+    @given(spec_documents())
+    def test_any_mistyped_leaf_refused_by_path(self, doc):
+        for path, value in _leaves(doc):
+            for bad in ("x", True, None):
+                if isinstance(bad, str) and isinstance(value, str) and \
+                        path[-1] not in ENUM_LEAVES:
+                    continue  # a string is a valid id
+                edited = copy.deepcopy(doc)
+                _set(edited, path, bad)
+                with pytest.raises(WafersimError) as err:
+                    spec_from_dict(edited)
+                assert _path_text(path) in str(err.value), (path, bad)

@@ -93,6 +93,58 @@ class TestMappingCache:
         assert paths["mapping"].read_text() == written
         assert again.lost == first.lost
 
+    # an entry whose placement or counts are mistyped or off the wafer: at
+    # the parent, apply_loss or mapping_report failed with a raw error
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["placement"]["neuron_asic"].__setitem__(0, 999),
+        lambda doc: doc.update(lost={k: str(v) for k, v in doc["lost"].items()}),
+    ], ids=["neuron_asic_999", "lost_as_strings"])
+    def test_bad_placement_or_count_is_a_miss(self, tmp_path, edit):
+        spec = network.ensure_sampled(
+            build_brunel(BrunelParams(n_total=400), seed=3))
+        topology = WaferTopology(route_capacity=0)
+        _, first, _, paths = pipeline.map_stage(spec, topology, tmp_path)
+        written = paths["mapping"].read_text()
+        doc = json.loads(written)
+        edit(doc)
+        paths["mapping"].write_text(json.dumps(doc, sort_keys=True))
+        _, again, cached, _ = pipeline.map_stage(spec, topology, tmp_path)
+        assert not cached
+        assert paths["mapping"].read_text() == written
+        assert again.lost == first.lost
+
+    def test_any_mistyped_field_is_a_miss(self, tmp_path):
+        spec = network.ensure_sampled(
+            build_brunel(BrunelParams(n_total=400), seed=3))
+        topology = WaferTopology(route_capacity=0)
+        _, _, _, paths = pipeline.map_stage(spec, topology, tmp_path)
+        written = paths["mapping"].read_text()
+        doc = json.loads(written)
+        fields = [("placement", k) for k in doc["placement"]] + \
+            [(k,) for k in doc if k != "placement"]
+        for path in fields:
+            for bad in ("x", True, None):
+                edited = json.loads(written)
+                target = edited
+                for k in path[:-1]:
+                    target = target[k]
+                value = target[path[-1]]
+                if isinstance(value, str) and isinstance(bad, str):
+                    continue  # a hash is a string
+                # the first scalar leaf of the field, or the field itself
+                key = path[-1]
+                while isinstance(value, (list, dict)) and value:
+                    target = value
+                    key = next(iter(value)) if isinstance(value, dict) else 0
+                    value = target[key]
+                if isinstance(value, (list, dict)):
+                    continue  # an empty list or table has no leaf
+                target[key] = bad
+                paths["mapping"].write_text(json.dumps(edited))
+                _, _, cached, _ = pipeline.map_stage(spec, topology, tmp_path)
+                assert not cached, (path, bad)
+                assert paths["mapping"].read_text() == written
+
     def test_structure_hashed_once_per_map_stage(self, tmp_path, monkeypatch):
         """The cache key, the mapping's ``spec_hash`` and ``apply_loss``'s
         check share one ``mapping_relevant_hash`` of the adapted spec, on a
