@@ -20,7 +20,7 @@ from .hardware import (
     capacity_report,
 )
 from .mapping import MappingMismatchError, PlacementOverflowError
-from .network import WafersimError, ensure_sampled, load_spec
+from .network import WafersimError, _atomic_write, ensure_sampled, load_spec
 from .pipeline import (
     PipelineConfig,
     StageFailure,
@@ -116,8 +116,7 @@ def cmd_sweep(args) -> int:
     eta_values = [float(v) for v in (
         args.eta.split(",") if args.eta else sweep.eta)]
     grid = phase_sweep(config, g_values, eta_values, parallel=args.threads)
-    out = _out_dir(args)
-    (out / "sweep.csv").write_text(grid.to_csv())
+    _atomic_write(_out_dir(args) / "sweep.csv", [grid.to_csv()])
     print(grid.to_csv(), end="")
     if grid.partial:
         print("warning: some cells failed; grid is partial", file=sys.stderr)
@@ -148,8 +147,8 @@ def cmd_wafer_report(args) -> int:
     if args.spec:
         spec = ensure_sampled(load_spec(args.spec))
         doc["capacity"] = capacity_report(topology, spec).to_dict()
-    out = _out_dir(args)
-    (out / "wafer_report.json").write_text(json.dumps(doc, indent=2))
+    _atomic_write(_out_dir(args) / "wafer_report.json",
+                  [json.dumps(doc, indent=2)])
     print(json.dumps(doc, indent=2))
     return EXIT_OK
 

@@ -61,6 +61,7 @@ import time as _time
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Union
 
@@ -74,6 +75,7 @@ from .network import (
     StimulusKind,
     SynapseKind,
     WafersimError,
+    _atomic_write,
     _typed,
     ensure_sampled,
     inhibitory_channel,
@@ -179,12 +181,9 @@ class _Engine:
         if bad:
             raise WafersimError(f"record_populations {bad} are not "
                                 f"populations of the network {pids}")
-        for p in spec.populations:
-            for name, values in p.params_per_neuron.items():
-                if len(values) != p.size:
-                    raise WafersimError(
-                        f"population {p.pid}: params_per_neuron[{name!r}] "
-                        f"holds {len(values)} values for {p.size} neurons")
+        bad = [msg for p in spec.populations for msg in p.override_problems()]
+        if bad:
+            raise WafersimError(bad[0])
         kinds = spec.synapse_kinds()
         if len(kinds) > 1:
             raise WafersimError("mixed synapse kinds are not supported")
@@ -825,12 +824,9 @@ def _write_csv(path: Union[str, Path], head: str, row_fmt: str,
                columns: list[np.ndarray]) -> Path:
     """``head``, then one ``row_fmt`` row per index of ``columns``, written
     ``_CSV_CHUNK`` rows at a time."""
-    path = Path(path)
-    with path.open("wb") as f:
-        f.write(head.encode())
-        for k in range(0, len(columns[0]), _CSV_CHUNK):
-            f.write(_csv_rows(row_fmt, [c[k:k + _CSV_CHUNK] for c in columns]))
-    return path
+    return _atomic_write(path, chain([head], (
+        _csv_rows(row_fmt, [c[k:k + _CSV_CHUNK] for c in columns])
+        for k in range(0, len(columns[0]), _CSV_CHUNK))))
 
 
 def save_spikes_csv(record: SpikeRecord, path: Union[str, Path]) -> Path:
@@ -844,7 +840,6 @@ def save_spikes_binary(record: SpikeRecord, path: Union[str, Path]) -> Path:
     """Magic, header length, JSON header, then the (time, id) records, the
     probe times and one array per probe, in the header's ``probe_ids``
     order."""
-    path = Path(path)
     probe_ids = sorted(record.probes)
     header = json.dumps({
         **_record_header(record),
@@ -857,16 +852,10 @@ def save_spikes_binary(record: SpikeRecord, path: Union[str, Path]) -> Path:
     rec = np.empty(len(record.times), dtype=_SPIKE_DTYPE)
     rec["time"] = record.times
     rec["id"] = record.ids
-    with open(path, "wb") as f:
-        f.write(_SPIKE_MAGIC)
-        f.write(struct.pack("<I", len(header)))
-        f.write(header)
-        f.write(rec.tobytes())
-        if record.probe_times is not None:
-            f.write(np.asarray(record.probe_times, "<f8").tobytes())
-        for pid in probe_ids:
-            f.write(np.asarray(record.probes[pid], "<f8").tobytes())
-    return path
+    arrays = [record.probe_times] + [record.probes[pid] for pid in probe_ids]
+    return _atomic_write(path, [
+        _SPIKE_MAGIC, struct.pack("<I", len(header)), header, rec,
+        *(np.ascontiguousarray(a, "<f8") for a in arrays if a is not None)])
 
 
 def load_spikes_binary(path: Union[str, Path]) -> SpikeRecord:

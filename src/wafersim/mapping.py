@@ -17,7 +17,6 @@ is restricted by the availability mask.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -33,6 +32,7 @@ from .hardware import (
 from .network import (
     NetworkSpec,
     WafersimError,
+    _atomic_write,
     copy_spec,
     ensure_sampled,
     in_degree_array,
@@ -266,7 +266,6 @@ def _pair_keys(pairs, n_asics: int, what: str) -> np.ndarray:
 
 
 def save_mapping(result: MappingResult, path: Union[str, Path]) -> Path:
-    path = Path(path)
     n = len(result.placement.asic_used)
     doc = {
         "placement": {
@@ -287,15 +286,7 @@ def save_mapping(result: MappingResult, path: Union[str, Path]) -> Path:
         "spec_hash": result.spec_hash,
         "topology_hash": result.topology_hash,
     }
-    # write a temp file beside the target and rename it over the target, so
-    # that a crash mid-write never leaves a truncated mapping under its name
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(json.dumps(doc, sort_keys=True))
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-    return path
+    return _atomic_write(path, [json.dumps(doc, sort_keys=True)])
 
 
 def load_mapping(path: Union[str, Path]) -> MappingResult:

@@ -22,6 +22,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
@@ -125,6 +126,20 @@ class Population:
         if name in self.params_per_neuron:
             return np.asarray(self.params_per_neuron[name], dtype=np.float64)
         return np.full(self.size, getattr(self.params, name), dtype=np.float64)
+
+    def override_problems(self) -> list[str]:
+        """What is wrong with ``params_per_neuron``: a name that is not a
+        ``NeuronParameters`` field, or a length other than ``size``."""
+        names = {f.name for f in fields(NeuronParameters)}
+        problems = []
+        for name, values in self.params_per_neuron.items():
+            what = f"population {self.pid}: params_per_neuron[{name!r}]"
+            if name not in names:
+                problems.append(f"{what} names no NeuronParameters field")
+            elif len(values) != self.size:
+                problems.append(f"{what} holds {len(values)} values for "
+                                f"{self.size} neurons")
+        return problems
 
 
 @dataclass
@@ -320,12 +335,7 @@ def validate_network(spec: NetworkSpec) -> ValidationReport:
             findings.append(f"population {pop.pid}: size < 1")
         for msg in pop.params.check(conductance=conductance):
             findings.append(f"population {pop.pid}: {msg}")
-        for name, arr in pop.params_per_neuron.items():
-            if len(arr) != pop.size:
-                findings.append(
-                    f"population {pop.pid}: override '{name}' length "
-                    f"{len(arr)} != size {pop.size}"
-                )
+        findings += pop.override_problems()
     for pr in spec.projections:
         for end, pid in (("source", pr.source), ("target", pr.target)):
             if not spec.has_population(pid):
@@ -683,19 +693,18 @@ def save_spec(spec: NetworkSpec, path: Union[str, Path]) -> Path:
     """
     path = Path(path)
     sidecar = path.with_suffix(path.suffix + ".edges")
-    index = {}
-    with open(sidecar, "wb") as f:
-        offset = f.write(_SIDECAR_MAGIC)
-        for section, table in (("edges", spec.edges),
-                               ("stim_edges", spec.stim_edges)):
-            index[section] = {}
-            for key in sorted(table):
-                index[section][key] = {"offset": offset, "count": len(table[key])}
-                offset += f.write(table[key]._records())
+    index, offset = {}, len(_SIDECAR_MAGIC)
+    for section in ("edges", "stim_edges"):
+        table = index[section] = {}
+        for key, edges in sorted(getattr(spec, section).items()):
+            table[key] = {"offset": offset, "count": len(edges)}
+            offset += EDGE_DTYPE.itemsize * len(edges)
+    _atomic_write(sidecar, chain([_SIDECAR_MAGIC], (
+        getattr(spec, section)[key]._records()
+        for section, table in index.items() for key in table)))
     doc = spec_to_dict(spec)
     doc["edge_sidecar"] = {"file": sidecar.name, "index": index}
-    path.write_text(json.dumps(doc, sort_keys=True))
-    return path
+    return _atomic_write(path, [json.dumps(doc, sort_keys=True)])
 
 
 def load_spec(path: Union[str, Path]) -> NetworkSpec:
@@ -760,6 +769,24 @@ def mapping_relevant_hash(spec: NetworkSpec) -> str:
             h.update(np.ascontiguousarray(e.src, np.uint32).tobytes())
             h.update(np.ascontiguousarray(e.tgt, np.uint32).tobytes())
     return h.hexdigest()
+
+
+def _atomic_write(path: Union[str, Path], chunks) -> Path:
+    """Write ``chunks`` (``str`` as UTF-8, ``bytes`` or contiguous arrays)
+    to a temp file beside ``path``, then rename it over ``path``.  An error
+    or a crash mid-write leaves ``path`` as it was; a power loss may not,
+    since nothing is fsynced."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk.encode() if isinstance(chunk, str) else chunk)
+                del chunk  # a streamed chunk is freed before the next is made
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return path
 
 
 def json_digest(doc) -> str:

@@ -54,6 +54,7 @@ from .models import (
 from .network import (
     NetworkSpec,
     WafersimError,
+    _atomic_write,
     ensure_sampled,
     from_fields,
     mapping_relevant_hash,
@@ -233,7 +234,6 @@ def write_analysis(record: SpikeRecord, analysis: AnalysisConfig,
     lines = ["population,mean_rate_hz"]
     for pid, rate in summary["per_population_mean_rate_hz"].items():
         lines.append(f"{pid},{rate:.6f}")
-    (out_dir / "rates.csv").write_text("\n".join(lines) + "\n")
     hist_lines = ["population,bin_lo_hz,bin_hi_hz,count"]
     for pid in record.population_slices:
         try:
@@ -242,11 +242,12 @@ def write_analysis(record: SpikeRecord, analysis: AnalysisConfig,
             continue
         for lo, hi, c in zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts):
             hist_lines.append(f"{pid},{lo:.4f},{hi:.4f},{c}")
-    (out_dir / "rate_histograms.csv").write_text("\n".join(hist_lines) + "\n")
-    (out_dir / "analysis.json").write_text(json.dumps(summary, indent=2))
-    return summary, {"rates": out_dir / "rates.csv",
-                     "histograms": out_dir / "rate_histograms.csv",
-                     "analysis": out_dir / "analysis.json"}
+    return summary, {
+        "rates": _atomic_write(out_dir / "rates.csv", ["\n".join(lines) + "\n"]),
+        "histograms": _atomic_write(out_dir / "rate_histograms.csv",
+                                    ["\n".join(hist_lines) + "\n"]),
+        "analysis": _atomic_write(out_dir / "analysis.json",
+                                  [json.dumps(summary, indent=2)])}
 
 
 def build_stage(params: Union[BrunelParams, MicrocircuitParams, None],
@@ -271,10 +272,10 @@ def adapt_stage(spec: NetworkSpec, adapt_cfg: AdaptationConfig, out_dir: Path
     adapted, report = adapt_pipeline(spec, adapt_cfg)
     ensure_sampled(adapted)
     artifacts = {"adapted": save_spec(adapted, out_dir / "adapted.json"),
-                 "adaptation_report": out_dir / "adaptation_report.json"}
-    artifacts["adaptation_report"].write_text(
-        json.dumps(report.to_dict(), indent=2))
-    (out_dir / "adaptation_report.txt").write_text(report.render_text())
+                 "adaptation_report": _atomic_write(
+                     out_dir / "adaptation_report.json",
+                     [json.dumps(report.to_dict(), indent=2)])}
+    _atomic_write(out_dir / "adaptation_report.txt", [report.render_text()])
     return adapted, report, artifacts
 
 
@@ -288,8 +289,8 @@ def map_stage(spec: NetworkSpec, topology: WaferTopology, out_dir: Path
     ``mapped.json``.  Returns the mapped spec, the mapping, whether it came
     from the cache, and the written artifacts by name."""
     cap = capacity_report(topology, spec)
-    artifacts = {"capacity_report": out_dir / "capacity_report.json"}
-    artifacts["capacity_report"].write_text(json.dumps(cap.to_dict(), indent=2))
+    artifacts = {"capacity_report": _atomic_write(
+        out_dir / "capacity_report.json", [json.dumps(cap.to_dict(), indent=2)])}
     if not cap.feasible:
         raise CapacityError(
             "network does not fit the wafer: " + "; ".join(cap.notes))
@@ -307,9 +308,9 @@ def map_stage(spec: NetworkSpec, topology: WaferTopology, out_dir: Path
         result = map_network(spec, topology, spec_hash)
         save_mapping(result, cache_path)
     artifacts["mapping"] = cache_path
-    artifacts["mapping_report"] = out_dir / "mapping_report.json"
-    artifacts["mapping_report"].write_text(
-        json.dumps(mapping_report(result), indent=2))
+    artifacts["mapping_report"] = _atomic_write(
+        out_dir / "mapping_report.json",
+        [json.dumps(mapping_report(result), indent=2)])
     mapped = apply_loss(spec, result, spec_hash)
     artifacts["mapped_spec"] = save_spec(mapped, out_dir / "mapped.json")
     return mapped, result, cached, artifacts
@@ -327,11 +328,10 @@ def simulate_stage(spec: NetworkSpec, sim_cfg: SimulationConfig, out_dir: Path
     artifacts = {
         "spikes_csv": save_spikes_csv(record, out_dir / "spikes.csv"),
         "spikes_bin": save_spikes_binary(record, out_dir / "spikes.bin"),
-        "throughput": out_dir / "throughput.json",
+        "throughput": _atomic_write(out_dir / "throughput.json",
+                                    [json.dumps(throughput.to_dict(), indent=2)]),
     }
-    artifacts["throughput"].write_text(
-        json.dumps(throughput.to_dict(), indent=2))
-    (out_dir / "throughput.txt").write_text(throughput.render_text() + "\n")
+    _atomic_write(out_dir / "throughput.txt", [throughput.render_text() + "\n"])
     if record.probes:
         artifacts["membrane"] = save_membrane_csv(record, out_dir / "membrane.csv")
     return record, throughput, artifacts
@@ -494,8 +494,10 @@ def phase_sweep(config: PipelineConfig, g_values: list[float],
             replace(model, g=g, eta=eta).check()
         except ValueError as exc:
             raise WafersimError(f"sweep cell g={g}, eta={eta}: {exc}") from None
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+    # one worker per cell at most: a fork pool starts all its workers at once
+    workers = min(parallel, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = dict(pool.map(_sweep_worker, jobs))
     else:
         results = dict(map(_sweep_worker, jobs))

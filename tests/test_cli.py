@@ -147,6 +147,19 @@ class TestStageCommands:
         err = capsys.readouterr().err
         assert pop["pid"] in err and "params_per_neuron['v_thresh']" in err
 
+    def test_per_neuron_override_name_exit_2(self, built, capsys):
+        path = built / "spec.json"
+        doc = json.loads(path.read_text())
+        pop = doc["populations"][0]
+        pop["params_per_neuron"] = {"v_thres": [-30.0] * pop["size"]}
+        path.write_text(json.dumps(doc))
+        code = main(["simulate", str(path), "--duration", "10",
+                     "--out-dir", str(built)])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert pop["pid"] in err and "params_per_neuron['v_thres']" in err
+        assert not (built / "spikes.bin").exists()
+
     def test_mistyped_spec_field_exit_2(self, built, capsys):
         path = built / "spec.json"
         doc = json.loads(path.read_text())

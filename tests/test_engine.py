@@ -689,6 +689,16 @@ class TestRecordingOptions:
                            match=r"population exc: params_per_neuron\['v_thresh'\]"):
             simulate(spec, SimulationConfig(duration=10.0))
 
+    def test_per_neuron_override_name_rejected(self):
+        # a misspelt field would otherwise be ignored: v_thresh stays -50 mV
+        spec = ensure_sampled(build_brunel(BrunelParams(n_total=300), seed=4))
+        n = spec.population("exc").size
+        spec.population("exc").params_per_neuron["v_thres"] = np.full(n, -30.0)
+        with pytest.raises(WafersimError,
+                           match=r"population exc: params_per_neuron\['v_thres'\]"
+                                 r" names no NeuronParameters field"):
+            simulate(spec, SimulationConfig(duration=10.0))
+
     def test_probe_limit(self):
         spec = ensure_sampled(build_brunel(BrunelParams(n_total=300), seed=4))
         with pytest.raises(ValueError):

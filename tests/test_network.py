@@ -300,6 +300,17 @@ class TestValidation:
         assert validate_network(spec).findings == [
             "stimulus ext->exc: negative conductance weight"]
 
+    def test_per_neuron_override_problems(self):
+        spec = two_pop_spec()
+        exc = spec.populations[0]
+        exc.params_per_neuron["v_thres"] = np.full(exc.size, -30.0)
+        exc.params_per_neuron["tau_m"] = np.full(exc.size - 1, 20.0)
+        assert validate_network(spec).findings == [
+            f"population {exc.pid}: params_per_neuron['v_thres'] names no "
+            f"NeuronParameters field",
+            f"population {exc.pid}: params_per_neuron['tau_m'] holds "
+            f"{exc.size - 1} values for {exc.size} neurons"]
+
 
 class TestChannelRule:
     def test_current_mode_follows_the_weight_sign(self):

@@ -285,3 +285,33 @@ class TestSweep:
         with pytest.raises(WafersimError, match="g and eta must be >= 0"):
             phase_sweep(small_config(topology=None), g, eta)
         assert ran == []
+
+    @pytest.mark.parametrize("g,eta,workers", [
+        ([4.0], [2.0], []),  # one cell runs in this process
+        ([4.0, 5.0], [1.0, 2.0, 3.0], [6]),
+        ([float(g) for g in range(1, 11)], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0],
+         [64]),
+    ], ids=["1_cell", "6_cells", "70_cells"])
+    def test_sweep_starts_at_most_one_worker_per_cell(self, monkeypatch, g,
+                                                      eta, workers):
+        started = []
+
+        class Pool:  # records the pool's size and runs the cells in order
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(pipeline, "run_sweep_cell",
+                            lambda config, g, eta: pipeline.SweepCell(
+                                g, eta, 1.0, 1.0, 0.5, 1.0, "AI"))
+        grid = phase_sweep(small_config(topology=None), g, eta, parallel=64)
+        assert started == workers
+        assert not grid.partial
